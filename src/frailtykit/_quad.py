@@ -54,48 +54,115 @@ class QuadratureError(RuntimeError):
 
 
 def gk15(f, a, b):
-    """One Gauss-Kronrod panel.  Returns (integral, error_estimate), each (m,)."""
+    """Gauss-Kronrod panels on [a, b].
+
+    Scalar endpoints give one panel and return (integral, error_estimate),
+    each (m,).  Arrays of P endpoints give P panels, evaluated by one call of
+    f on their stacked 15 * P nodes, and return two (P, m) arrays.
+    """
+    a = np.asarray(a, float)
+    b = np.asarray(b, float)
     c = 0.5 * (a + b)
     h = 0.5 * (b - a)
-    y = np.asarray(f(c + h * NODES), float)
+    x = c[..., None] + h[..., None] * NODES
+    y = np.asarray(f(x.reshape(-1)), float)
     if y.ndim == 1:
         y = y[:, None]
-    val_k = h * (WEIGHTS_K @ y)
-    val_g = h * (WEIGHTS_G @ y[1::2])
+    y = y.reshape(x.shape + y.shape[-1:])
+    val_k = h[..., None] * (WEIGHTS_K @ y)
+    val_g = h[..., None] * (WEIGHTS_G @ y[..., 1::2, :])
     return val_k, np.abs(val_k - val_g)
+
+
+def _segment_sums(panel_values, owner, n_segments):
+    out = np.zeros((n_segments, panel_values.shape[1]))
+    np.add.at(out, owner, panel_values)
+    return out
 
 
 def integrate(f, a, b, rel_tol=1e-9, abs_tol=1e-12, max_subdivisions=200):
     """Adaptively integrate a vector-valued f over [a, b].
 
-    f maps an array of points (n,) to values (n, m); every component is
-    integrated on the shared panel tree until each satisfies
-    err <= max(abs_tol, rel_tol * |integral|).
+    f maps an array of points (n,) to values (n, m).  Scalar a, b return
+    (integral, error), each (m,).  Arrays of S endpoints integrate the S
+    segments [a_s, b_s] together and return two (S, m) arrays.
+
+    Refinement is breadth-first.  A segment is done when every component of
+    its panel sum satisfies err <= max(abs_tol, rel_tol * |integral|).  Each
+    round bisects, in every segment not yet done, each panel whose error
+    exceeds its width's share of that tolerance, and evaluates all the new
+    panels in one gk15 call.  A segment may be bisected at most
+    max_subdivisions times; a round that would go beyond that raises
+    QuadratureError.
     """
-    if not b > a:
+    scalar = np.ndim(a) == 0 and np.ndim(b) == 0
+    lo, hi = np.broadcast_arrays(np.atleast_1d(np.asarray(a, float)),
+                                 np.atleast_1d(np.asarray(b, float)))
+    if lo.ndim != 1:
+        raise ValueError("integration endpoints must be scalars or 1-D arrays")
+    if not np.all(hi > lo):
         raise ValueError("integration interval must have b > a")
-    val, err = gk15(f, a, b)
-    panels = [(a, b, val, err)]
-    for _ in range(max_subdivisions):
-        total = np.sum([p[2] for p in panels], axis=0)
-        tot_err = np.sum([p[3] for p in panels], axis=0)
-        if np.all(tot_err <= np.maximum(abs_tol, rel_tol * np.abs(total))):
-            return total, tot_err
-        worst = max(range(len(panels)), key=lambda i: float(np.max(panels[i][3])))
-        pa, pb, _, _ = panels.pop(worst)
-        mid = 0.5 * (pa + pb)
-        v1, e1 = gk15(f, pa, mid)
-        v2, e2 = gk15(f, mid, pb)
-        panels.append((pa, mid, v1, e1))
-        panels.append((mid, pb, v2, e2))
-    total = np.sum([p[2] for p in panels], axis=0)
-    tot_err = np.sum([p[3] for p in panels], axis=0)
-    raise QuadratureError(
-        f"quadrature did not converge after {max_subdivisions} subdivisions; "
-        f"worst error estimate {float(np.max(tot_err)):.3e}",
-        value=total,
-        error=tot_err,
-    )
+    n_seg = lo.size
+    seg_width = hi - lo
+    owner = np.arange(n_seg)
+    val, err = gk15(f, lo, hi)
+    splits = np.zeros(n_seg, dtype=int)
+    while True:
+        total = _segment_sums(val, owner, n_seg)
+        tot_err = _segment_sums(err, owner, n_seg)
+        tol = np.maximum(abs_tol, rel_tol * np.abs(total))
+        open_seg = ~np.all(tot_err <= tol, axis=1)
+        if not open_seg.any():
+            break
+        share = ((hi - lo) / seg_width[owner])[:, None]
+        fails = open_seg[owner] & ~np.all(err <= share * tol[owner], axis=1)
+        # rounding can leave a segment over its tolerance while every panel
+        # meets its share; all of that segment's panels are bisected then
+        stuck = open_seg & (np.bincount(owner[fails], minlength=n_seg) == 0)
+        fails |= stuck[owner]
+        splits += np.bincount(owner[fails], minlength=n_seg)
+        if np.any(splits > max_subdivisions):
+            worst = float(np.max(np.where(open_seg[:, None], tot_err, 0.0)))
+            raise QuadratureError(
+                f"quadrature did not converge after {max_subdivisions} "
+                f"subdivisions; worst error estimate {worst:.3e}",
+                value=total[0] if scalar else total,
+                error=tot_err[0] if scalar else tot_err,
+            )
+        keep = ~fails
+        mid = 0.5 * (lo[fails] + hi[fails])
+        new_lo = np.concatenate([lo[fails], mid])
+        new_hi = np.concatenate([mid, hi[fails]])
+        new_val, new_err = gk15(f, new_lo, new_hi)
+        lo = np.concatenate([lo[keep], new_lo])
+        hi = np.concatenate([hi[keep], new_hi])
+        owner = np.concatenate([owner[keep], owner[fails], owner[fails]])
+        val = np.concatenate([val[keep], new_val])
+        err = np.concatenate([err[keep], new_err])
+    if scalar:
+        return total[0], tot_err[0]
+    return total, tot_err
+
+
+def substitute_power(f, power):
+    """The integrand f(v**power) * power * v**(power - 1) of the substitution
+    u = v**power, or f itself when power is 1.
+
+    Nodes where v**power underflows to 0 are moved to the smallest normal
+    number, so f is never asked for its value at the origin.
+    """
+    if power == 1.0:
+        return f
+
+    def transformed(v):
+        jac = power * v ** (power - 1.0)
+        u = np.maximum(v ** power, np.finfo(float).tiny)
+        vals = np.asarray(f(u), float)
+        if vals.ndim == 1:
+            vals = vals[:, None]
+        return vals * jac[:, None]
+
+    return transformed
 
 
 def integrate_power_substituted(f, upper, power, rel_tol=1e-9, abs_tol=1e-12,
@@ -105,15 +172,5 @@ def integrate_power_substituted(f, upper, power, rel_tol=1e-9, abs_tol=1e-12,
     Regularizes integrable endpoint singularities u**(g-1) at the origin when
     power = 1/min(g): the transformed integrand is bounded on the new interval.
     """
-    if power == 1.0:
-        return integrate(f, 0.0, upper, rel_tol, abs_tol, max_subdivisions)
-
-    def transformed(v):
-        jac = power * v ** (power - 1.0)
-        vals = np.asarray(f(v ** power), float)
-        if vals.ndim == 1:
-            vals = vals[:, None]
-        return vals * jac[:, None]
-
-    return integrate(transformed, 0.0, upper ** (1.0 / power),
+    return integrate(substitute_power(f, power), 0.0, upper ** (1.0 / power),
                      rel_tol, abs_tol, max_subdivisions)

@@ -18,15 +18,15 @@ from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
-from scipy.optimize import brentq
 
 from . import frailty as fr
-from ._quad import integrate, integrate_power_substituted
+from ._quad import integrate, substitute_power
 from .hazards import (
     HazardSpec,
     _cumulative_array,
     _hazard_array,
     cumulative_hazard,
+    hazard_rate,
     hazard_spec_from_dict,
     hazard_spec_to_dict,
     inverse_cumulative_hazard,
@@ -141,11 +141,35 @@ def _pair_eps(pair_frailty, k, n_causes):
     return eps
 
 
+def _cause_index(m, k, j):
+    """The 0-based position of cause j of individual k; ValueError unless
+    j is an integer in 1..L_k."""
+    n = m.num_causes(k)
+    if (isinstance(j, (bool, np.bool_)) or not isinstance(j, (int, np.integer))
+            or not 1 <= j <= n):
+        raise ValueError(
+            f"cause of individual {k} must be an integer in 1..{n}, got {j!r}")
+    return int(j) - 1
+
+
+def _check_times(*times, positive=False):
+    """ValueError unless every time is finite and nonnegative (positive)."""
+    for t in times:
+        arr = np.asarray(t, dtype=float)
+        if not np.all(np.isfinite(arr)):
+            raise ValueError("times must be finite")
+        if positive and np.any(arr <= 0.0):
+            raise ValueError("density requires strictly positive times")
+        if np.any(arr < 0.0):
+            raise ValueError("times must be nonnegative")
+
+
 def conditional_hazard(m, k, j, t, pair_frailty):
     """Cause-j hazard of individual k given the frailty pair."""
+    col = _cause_index(m, k, j)
+    _check_times(t)
     eps = _pair_eps(pair_frailty, k, m.num_causes(k))
-    from .hazards import hazard_rate
-    return eps[j - 1] * hazard_rate(m.hazard(k, j), t)
+    return eps[col] * hazard_rate(m.hazard(k, j), t)
 
 
 def conditional_survival(m, k, t, pair_frailty):
@@ -157,35 +181,76 @@ def conditional_survival(m, k, t, pair_frailty):
     return np.exp(-total) if np.ndim(total) else float(np.exp(-total))
 
 
-def _total_level_time(specs, level, hi):
-    """Smallest t with sum_j H_j(t) = level, searched below hi."""
-    def f(t):
-        return sum(cumulative_hazard(sp, t) for sp in specs) - level
-
-    lo = hi
-    for _ in range(600):
-        lo /= 16.0
-        if f(lo) < 0.0 or lo < 1e-290:
-            break
-    if f(lo) >= 0.0:
-        return lo
-    return brentq(f, lo, hi, rtol=1e-12)
+# Dyadic levels of the total cumulative hazard stop at 2**54.
+_TOP_LEVEL_EXPONENT = 54
+# Level times are searched no lower than this; the bracket strides
+# log(16) * (2**k - 1), k < _BRACKET_STRIDES, reach it from any double.
+_LOG_TIME_FLOOR = np.log(1e-290)
+_BRACKET_STRIDES = 10
+_LEVEL_NEWTON_ITERATIONS = 100
 
 
-def _segment_points(specs, t_points):
+def _total_cumulative(specs, t):
+    return sum(_cumulative_array(sp, t) for sp in specs)
+
+
+def _total_level_time(specs, levels, hi):
+    """Times t below hi with sum_j H_j(t) = level, for every level at once.
+
+    Safeguarded Newton on log H against log t.  One evaluation of the total
+    on log times stepping down from hi in doubling strides gives each level
+    a bracket [lo, up] with log H(lo) < log level <= log H(up), and the
+    log-log interpolation between its ends is the starting point.  A Newton
+    step that leaves the bracket, or is not finite, bisects it instead.  A
+    level that the total still reaches at the time floor 1e-290 gets the
+    floor.
+    """
+    log_level = np.log(np.asarray(levels, dtype=float))
+    strides = np.log(16.0) * (2.0 ** np.arange(_BRACKET_STRIDES) - 1.0)
+    ladder = np.maximum(np.log(hi) - strides, _LOG_TIME_FLOOR)[::-1]
+    # non-finite logs and slopes (H underflowing to 0 far below the level,
+    # hazards overflowing at the floor) only ever trigger bisection
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        g_ladder = np.log(_total_cumulative(specs, np.exp(ladder)))
+        i = np.searchsorted(g_ladder, log_level)
+        up = ladder[i]
+        lo = ladder[np.maximum(i - 1, 0)]
+        g_lo = g_ladder[np.maximum(i - 1, 0)] - log_level
+        g_up = g_ladder[i] - log_level
+        x = lo - g_lo * (up - lo) / (g_up - g_lo)
+        x = np.where((x > lo) & (x <= up), x, up)
+        for _ in range(_LEVEL_NEWTON_ITERATIONS):
+            t = np.exp(x)
+            total = _total_cumulative(specs, t)
+            g = np.log(total) - log_level
+            slope = t * sum(_hazard_array(sp, t) for sp in specs) / total
+            lo = np.where(g < 0.0, x, lo)
+            up = np.where(g < 0.0, up, x)
+            step = x - g / slope
+            bisect = ~((step > lo) & (step <= up) & np.isfinite(slope))
+            step = np.where(bisect, 0.5 * (lo + up), step)
+            done = np.abs(step - x) <= 4.0 * np.finfo(float).eps * np.maximum(
+                1.0, np.abs(x))
+            x = step
+            if done.all():
+                break
+    return np.exp(x)
+
+
+def _segment_points(specs, t_points, abs_tol):
     """Integration breakpoints: the requested times plus dyadic levels of the
-    baseline total cumulative hazard, so no scale of the integrand is skipped."""
+    baseline total cumulative hazard, so no scale of the integrand is skipped.
+
+    The levels start at the largest power of two not above abs_tol: below
+    it, the first segment carries at most about that much mass."""
     t_max = t_points[-1]
-    total_end = sum(cumulative_hazard(sp, t_max) for sp in specs)
-    extras = []
-    level = 1.0 / 32.0
-    while level < total_end * 0.999 and len(extras) < 60:
-        t = _total_level_time(specs, level, t_max)
-        if 0.0 < t < t_max:
-            extras.append(t)
-        level *= 2.0
-    return np.unique(np.concatenate([np.asarray(t_points, float),
-                                     np.asarray(extras, float)]))
+    total_end = _total_cumulative(specs, t_max)
+    first = np.frexp(abs_tol)[1] - 1
+    levels = np.ldexp(1.0, np.arange(first, _TOP_LEVEL_EXPONENT + 1))
+    levels = levels[levels < total_end * 0.999]
+    extras = _total_level_time(specs, levels, t_max)
+    extras = extras[(extras > 0.0) & (extras < t_max)]
+    return np.unique(np.concatenate([np.asarray(t_points, float), extras]))
 
 
 def _cause_curves(specs, eps, t_points, q):
@@ -194,10 +259,16 @@ def _cause_curves(specs, eps, t_points, q):
     specs: the L hazard specs of one individual; eps: (W, L) multipliers.
     Returns a (W, L, len(t_points)) array of
     int_0^{t} h_j(u) eps_j exp(-sum_j' eps_j' H_j'(u)) du.
+
+    All segments between breakpoints are integrated in one batched call,
+    under u = v**(1/gamma_min) when gamma_min < 1; a cumulative sum over
+    the segments gives the table.
     """
     ts = np.asarray(t_points, dtype=float)
     if ts.ndim != 1 or ts.size == 0:
         raise ValueError("need a one-dimensional nonempty time grid")
+    if not np.all(np.isfinite(ts)):
+        raise ValueError("times must be finite")
     if np.any(ts <= 0.0) or np.any(np.diff(ts) <= 0.0):
         raise ValueError("time grid must be strictly increasing and positive")
     eps = np.asarray(eps, dtype=float)
@@ -217,24 +288,17 @@ def _cause_curves(specs, eps, t_points, q):
 
     gamma_min = min(sp.gamma for sp in specs)
     power = 1.0 / gamma_min if gamma_min < 1.0 else 1.0
-    points = _segment_points(specs, ts)
-
-    acc = np.zeros(n_l * n_w)
-    out = np.empty((ts.size, n_l * n_w))
-    prev = 0.0
-    cursor = 0
-    for b in points:
-        if prev == 0.0:
-            val, _ = integrate_power_substituted(
-                f, b, power, q.rel_tol, q.abs_tol, q.max_subdivisions)
-        else:
-            val, _ = integrate(f, prev, b, q.rel_tol, q.abs_tol,
-                               q.max_subdivisions)
-        acc = acc + val
-        if cursor < ts.size and b == ts[cursor]:
-            out[cursor] = acc
-            cursor += 1
-        prev = b
+    points = _segment_points(specs, ts, q.abs_tol)
+    ends = points ** (1.0 / power)
+    starts = np.concatenate([[0.0], ends[:-1]])
+    # distinct breakpoints can round to one transformed point; such a
+    # segment has zero width and contributes nothing
+    wide = ends > starts
+    vals = np.zeros((points.size, n_l * n_w))
+    vals[wide], _ = integrate(substitute_power(f, power), starts[wide],
+                              ends[wide], q.rel_tol, q.abs_tol,
+                              q.max_subdivisions)
+    out = np.cumsum(vals, axis=0)[np.searchsorted(points, ts)]
     return out.reshape(ts.size, n_l, n_w).transpose(2, 1, 0)
 
 
@@ -246,38 +310,49 @@ def sub_distribution_table(m, k, t_points, q=None):
 
 def conditional_sub_distribution(m, k, j, t, pair_frailty, q=None):
     """P(T_k <= t, J_k = j | frailty pair) by adaptive quadrature."""
-    if t < 0.0:
-        raise ValueError("time must be nonnegative")
+    col = _cause_index(m, k, j)
+    _check_times(t)
     if t == 0.0:
         return 0.0
     q = q or DEFAULT_QUADRATURE
     eps = _pair_eps(pair_frailty, k, m.num_causes(k))[None, :]
     table = _cause_curves(m.hazards_for(k), eps, np.array([t]), q)
-    return float(table[0, j - 1, 0])
+    return float(table[0, col, 0])
 
 
 def marginal_sub_distribution(m, k, j, t, q=None):
     """P(T_k <= t, J_k = j): the conditional value mixed over atoms."""
-    if t < 0.0:
-        raise ValueError("time must be nonnegative")
+    col = _cause_index(m, k, j)
+    _check_times(t)
     if t == 0.0:
         return 0.0
     q = q or DEFAULT_QUADRATURE
     table = sub_distribution_table(m, k, np.array([float(t)]), q)
-    return float(m.frailty.weights @ table[:, j - 1, 0])
+    return float(m.frailty.weights @ table[:, col, 0])
+
+
+def _density_factors(m, k, ts):
+    """(W, L_k, n) array eps_j exp(-sum_j' eps_j' H_j'(t)) per atom and cause:
+    the sub-density of individual k given the atom, divided by h_j(t)."""
+    eps = m.eps_matrix(k)
+    cums = np.stack([_cumulative_array(sp, ts) for sp in m.hazards_for(k)])
+    return eps[:, :, None] * np.exp(-(eps @ cums))[:, None, :]
+
+
+def _hazard_rows(m, k, ts):
+    """(L_k, n) baseline hazards of individual k."""
+    return np.stack([_hazard_array(sp, ts) for sp in m.hazards_for(k)])
 
 
 def marginal_sub_density(m, k, j, t):
     """Marginal cause-j sub-density of individual k (exact finite sum)."""
-    from .hazards import hazard_rate
-    eps = m.eps_matrix(k)
-    total = np.zeros_like(np.asarray(t, dtype=float))
-    cums = [cumulative_hazard(m.hazard(k, jj), t)
-            for jj in range(1, m.num_causes(k) + 1)]
-    for w, row in zip(m.frailty.weights, eps):
-        load = sum(e * c for e, c in zip(row, cums))
-        total = total + w * row[j - 1] * np.exp(-load)
-    return hazard_rate(m.hazard(k, j), t) * total
+    col = _cause_index(m, k, j)
+    _check_times(t, positive=True)
+    ts = np.asarray(t, dtype=float)
+    flat = ts.reshape(-1)
+    mix = m.frailty.weights @ _density_factors(m, k, flat)[:, col]
+    out = (_hazard_rows(m, k, flat)[col] * mix).reshape(ts.shape)
+    return float(out) if out.ndim == 0 else out
 
 
 def survival_load_vector(m, t1, t2):
@@ -294,8 +369,7 @@ def survival_load_vector(m, t1, t2):
 
 def joint_survival(m, t1, t2, q=None):
     """P(T1 > t1, T2 > t2); exact finite sum via the frailty transform."""
-    if t1 < 0.0 or t2 < 0.0:
-        raise ValueError("times must be nonnegative")
+    _check_times(t1, t2)
     return fr.lst(m.frailty, survival_load_vector(m, t1, t2))
 
 
@@ -306,19 +380,10 @@ def marginal_survival(m, k, t):
 
 def joint_sub_density(m, j1, j2, t1, t2):
     """Joint sub-density f_{j1 j2}(t1, t2) (exact finite sum)."""
-    from .hazards import hazard_rate
-    if t1 <= 0.0 or t2 <= 0.0:
-        raise ValueError("density requires strictly positive times")
-    eps1, eps2 = m.eps_matrix(1), m.eps_matrix(2)
-    cums1 = np.array([cumulative_hazard(m.hazard(1, j), t1)
-                      for j in range(1, m.num_causes(1) + 1)])
-    cums2 = np.array([cumulative_hazard(m.hazard(2, j), t2)
-                      for j in range(1, m.num_causes(2) + 1)])
-    mix = float(np.sum(
-        m.frailty.weights
-        * eps1[:, j1 - 1] * np.exp(-(eps1 @ cums1))
-        * eps2[:, j2 - 1] * np.exp(-(eps2 @ cums2))))
-    return hazard_rate(m.hazard(1, j1), t1) * hazard_rate(m.hazard(2, j2), t2) * mix
+    a = _cause_index(m, 1, j1)
+    b = _cause_index(m, 2, j2)
+    grid = joint_sub_density_grid(m, [t1], [t2])
+    return float(grid[a, b, 0, 0])
 
 
 def joint_sub_distribution(m, j1, j2, t1, t2, q=None):
@@ -327,13 +392,14 @@ def joint_sub_distribution(m, j1, j2, t1, t2, q=None):
     Computed atom by atom as the product of two one-dimensional conditional
     integrals, then mixed.
     """
-    if t1 < 0.0 or t2 < 0.0:
-        raise ValueError("times must be nonnegative")
+    a = _cause_index(m, 1, j1)
+    b = _cause_index(m, 2, j2)
+    _check_times(t1, t2)
     if t1 == 0.0 or t2 == 0.0:
         return 0.0
     q = q or DEFAULT_QUADRATURE
-    c1 = sub_distribution_table(m, 1, np.array([float(t1)]), q)[:, j1 - 1, 0]
-    c2 = sub_distribution_table(m, 2, np.array([float(t2)]), q)[:, j2 - 1, 0]
+    c1 = sub_distribution_table(m, 1, np.array([float(t1)]), q)[:, a, 0]
+    c2 = sub_distribution_table(m, 2, np.array([float(t2)]), q)[:, b, 0]
     return float(m.frailty.weights @ (c1 * c2))
 
 
@@ -350,16 +416,19 @@ def joint_sub_distribution_grid(m, t1_points, t2_points, q=None):
 
 
 def joint_sub_density_grid(m, t1_points, t2_points):
-    """f_{j1 j2} on a product grid: (L1, L2, n1, n2) tensor (finite sums)."""
-    t1s = np.asarray(t1_points, dtype=float)
-    t2s = np.asarray(t2_points, dtype=float)
-    out = np.empty((m.num_causes(1), m.num_causes(2), t1s.size, t2s.size))
-    for a in range(m.num_causes(1)):
-        for b in range(m.num_causes(2)):
-            for i, t1 in enumerate(t1s):
-                for l, t2 in enumerate(t2s):
-                    out[a, b, i, l] = joint_sub_density(m, a + 1, b + 1, t1, t2)
-    return out
+    """f_{j1 j2} on a product grid: (L1, L2, n1, n2) tensor (finite sums).
+
+    f_{ab}(t1, t2) = h_1a(t1) h_2b(t2) sum_w p_w d_1wa(t1) d_2wb(t2), with
+    d the conditional sub-densities divided by the hazards.
+    """
+    t1s = np.asarray(t1_points, dtype=float).reshape(-1)
+    t2s = np.asarray(t2_points, dtype=float).reshape(-1)
+    _check_times(t1s, t2s, positive=True)
+    mix = np.einsum("w,wai,wbl->abil", m.frailty.weights,
+                    _density_factors(m, 1, t1s), _density_factors(m, 2, t2s))
+    h1 = _hazard_rows(m, 1, t1s)
+    h2 = _hazard_rows(m, 2, t2s)
+    return h1[:, None, :, None] * h2[None, :, None, :] * mix
 
 
 def time_horizon(m, min_load=40.0):

@@ -14,6 +14,7 @@ many worker threads execute the shards.
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -35,6 +36,7 @@ __all__ = [
 SHARD_SIZE = 4096
 
 _CSV_COLUMNS = ("pair_id", "t1", "j1", "d1", "t2", "j2", "d2")
+_CSV_FLAGS = {"0": False, "1": True}
 
 
 @dataclass(frozen=True)
@@ -66,8 +68,9 @@ class BivariateObservation:
     d2: bool
 
     def __post_init__(self):
-        if self.t1 <= 0.0 or self.t2 <= 0.0:
-            raise ValueError("observed times must be strictly positive")
+        if not (0.0 < self.t1 < math.inf and 0.0 < self.t2 < math.inf):
+            raise ValueError(
+                "observed times must be finite and strictly positive")
         for j, d in ((self.j1, self.d1), (self.j2, self.d2)):
             if (j == 0) == d:
                 raise ValueError("cause 0 must pair with a censoring flag")
@@ -273,9 +276,12 @@ def read_dataset_csv(path):
         if len(parts) < 7:
             raise ValueError(f"line {lineno}: expected at least 7 fields")
         try:
+            d1, d2 = _CSV_FLAGS.get(parts[3]), _CSV_FLAGS.get(parts[6])
+            if d1 is None or d2 is None:
+                raise ValueError("censoring flags must be 0 or 1")
             obs = BivariateObservation(
-                t1=float(parts[1]), j1=int(parts[2]), d1=bool(int(parts[3])),
-                t2=float(parts[4]), j2=int(parts[5]), d2=bool(int(parts[6])))
+                t1=float(parts[1]), j1=int(parts[2]), d1=d1,
+                t2=float(parts[4]), j2=int(parts[5]), d2=d2)
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {exc}") from None
         out.append(obs)

@@ -5,9 +5,13 @@ independent scipy quadrature of the defining integral, never against
 another code path of the package itself.
 """
 
+import time
+import warnings
+
 import numpy as np
 import pytest
 from scipy import integrate as sp_integrate
+from scipy.optimize import brentq
 
 from frailtykit import (
     DiscreteFrailty,
@@ -24,6 +28,7 @@ from frailtykit import (
     hazard_rate,
     joint_sub_density,
     joint_sub_distribution,
+    joint_sub_density_grid,
     joint_sub_distribution_grid,
     joint_survival,
     lst,
@@ -35,6 +40,11 @@ from frailtykit import (
     survival_load_vector,
     time_horizon,
     tilted_mean,
+)
+from frailtykit.model import (
+    _segment_points,
+    _total_level_time,
+    sub_distribution_table,
 )
 
 from helpers import ALL_KINDS, random_model
@@ -353,3 +363,157 @@ def test_model_requires_matching_hazard_keys(shared_two_atom):
                   DiscreteFrailty(FrailtyStructure(FrailtyKind.CORRELATED,
                                                    2, 2),
                                   [[1.0, 1.0]], [1.0]))
+
+
+G = lambda g, a: HazardSpec(Family.GAMMA, g, a)
+LL = lambda g, a: HazardSpec(Family.LOGLOGISTIC, g, a)
+
+LEVEL_SPEC_SETS = [
+    [W(1.5, 0.5), W(0.8, 1.0)],
+    [E(0.4), W(0.3, 1.2)],
+    [LL(0.3, 1.0), E(0.5)],
+    [G(0.3, 0.8), LL(2.5, 0.7)],
+    [G(2.5, 1.3)],
+]
+
+
+@pytest.mark.parametrize("specs", LEVEL_SPEC_SETS)
+def test_level_times_match_per_level_brentq(specs):
+    def total(t):
+        return sum(cumulative_hazard(sp, t) for sp in specs)
+
+    hi = 1.0
+    while total(hi) < 50.0:
+        hi *= 2.0
+    levels = np.ldexp(1.0, np.arange(-40, 6))
+    got = _total_level_time(specs, levels, hi)
+    for level, t in zip(levels, got):
+        # H underflows to 0 at the bottom of the bracket: log gives -inf
+        with np.errstate(divide="ignore"):
+            ref = np.exp(brentq(
+                lambda x: np.log(total(np.exp(x))) - np.log(level),
+                np.log(1e-290), np.log(hi), xtol=1e-15,
+                rtol=4.0 * np.finfo(float).eps, maxiter=400))
+        assert abs(t - ref) <= 1e-12 * ref, (level, t, ref)
+
+
+def test_level_ladder_starts_at_the_absolute_tolerance():
+    specs = [W(1.5, 0.5), W(0.8, 1.0)]
+    points = _segment_points(specs, np.array([5.0]), 1e-12)
+    first = _total_level_time(specs, np.array([2.0 ** -40]), 5.0)[0]
+    assert points[0] == first
+    assert points[-1] == 5.0
+    total = [sum(cumulative_hazard(sp, t) for sp in specs)
+             for t in points[:-1]]
+    np.testing.assert_allclose(total, np.ldexp(1.0, np.arange(-40, 4)),
+                               rtol=1e-12)
+
+
+SMALL_GAMMA_MODELS = [
+    ([LL(0.3, 1.0), G(0.3, 0.8)], [W(0.3, 1.2), E(0.5)]),
+    ([W(0.1, 0.9), W(2.0, 0.4)], [G(0.5, 1.5), LL(0.2, 0.6)]),
+]
+
+
+@pytest.mark.parametrize("hz1, hz2", SMALL_GAMMA_MODELS)
+def test_small_gamma_tables_emit_no_runtime_warning(hz1, hz2):
+    structure = FrailtyStructure(FrailtyKind.SHARED, 2, 2)
+    g = DiscreteFrailty(structure, [[0.6], [1.4]], [0.5, 0.5])
+    m = ModelSpec.from_lists(structure, hz1, hz2, g)
+    t_big = time_horizon(m)
+    ts = np.geomspace(1e-6 * t_big, t_big, 9)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for k in (1, 2):
+            table = sub_distribution_table(m, k, ts)
+            assert np.all(np.isfinite(table))
+            assert np.all(np.diff(table, axis=2) >= 0.0)
+            total = m.frailty.weights @ table[:, :, -1].sum(axis=1)
+            assert abs(total - 1.0) < 1e-6
+
+
+def _looped_joint_density(m, j1, j2, t1, t2):
+    """Closed form of f_{j1 j2}(t1, t2), one point and one atom at a time."""
+    out = 0.0
+    for w, e1, e2 in zip(m.frailty.weights, m.eps_matrix(1), m.eps_matrix(2)):
+        load1 = sum(e * cumulative_hazard(m.hazard(1, j), t1)
+                    for j, e in enumerate(e1, start=1))
+        load2 = sum(e * cumulative_hazard(m.hazard(2, j), t2)
+                    for j, e in enumerate(e2, start=1))
+        out += (w * e1[j1 - 1] * hazard_rate(m.hazard(1, j1), t1)
+                * e2[j2 - 1] * hazard_rate(m.hazard(2, j2), t2)
+                * np.exp(-load1 - load2))
+    return out
+
+
+def test_density_grid_matches_the_looped_closed_form():
+    rng = np.random.default_rng(11)
+    for kind in ALL_KINDS:
+        m = random_model(kind, rng)
+        t1 = [0.2, 0.7, 1.5]
+        t2 = [0.4, 1.1]
+        grid = joint_sub_density_grid(m, t1, t2)
+        assert grid.shape == (2, 2, 3, 2)
+        for a, x in enumerate(t1):
+            for b, y in enumerate(t2):
+                for j1 in (1, 2):
+                    for j2 in (1, 2):
+                        ref = _looped_joint_density(m, j1, j2, x, y)
+                        got = grid[j1 - 1, j2 - 1, a, b]
+                        assert abs(got - ref) <= 1e-13 * ref
+                        scalar = joint_sub_density(m, j1, j2, x, y)
+                        assert abs(scalar - got) <= 1e-15 * got
+
+
+def _cause_indexed_calls(m, j):
+    pair = ([1.0, 1.0], [1.0, 1.0])
+    return [
+        lambda: conditional_hazard(m, 1, j, 1.0, pair),
+        lambda: conditional_sub_distribution(m, 2, j, 1.0, pair),
+        lambda: marginal_sub_distribution(m, 1, j, 1.0),
+        lambda: marginal_sub_density(m, 2, j, 1.0),
+        lambda: joint_sub_density(m, j, 1, 1.0, 1.0),
+        lambda: joint_sub_density(m, 1, j, 1.0, 1.0),
+        lambda: joint_sub_distribution(m, j, 1, 1.0, 1.0),
+        lambda: joint_sub_distribution(m, 1, j, 1.0, 1.0),
+    ]
+
+
+@pytest.mark.parametrize("j", [0, 3, -1, 1.0])
+def test_cause_index_outside_range_raises(shared_two_atom, j):
+    for call in _cause_indexed_calls(shared_two_atom, j):
+        with pytest.raises(ValueError, match="cause"):
+            call()
+
+
+def _timed_calls(m, t):
+    pair = ([1.0, 1.0], [1.0, 1.0])
+    return [
+        lambda: conditional_hazard(m, 1, 1, t, pair),
+        lambda: conditional_sub_distribution(m, 1, 1, t, pair),
+        lambda: marginal_sub_distribution(m, 1, 1, t),
+        lambda: marginal_sub_density(m, 1, 1, t),
+        lambda: joint_sub_density(m, 1, 1, t, 1.0),
+        lambda: joint_sub_density(m, 1, 1, 1.0, t),
+        lambda: joint_sub_distribution(m, 1, 1, t, 1.0),
+        lambda: joint_sub_distribution(m, 1, 1, 1.0, t),
+        lambda: joint_survival(m, t, 1.0),
+        lambda: joint_survival(m, 1.0, t),
+        lambda: marginal_survival(m, 1, t),
+        lambda: marginal_survival(m, 2, t),
+        lambda: joint_sub_distribution_grid(m, [0.5, t], [1.0]),
+    ]
+
+
+@pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf])
+def test_non_finite_times_raise(shared_two_atom, t):
+    for call in _timed_calls(shared_two_atom, t):
+        with pytest.raises(ValueError, match="finite"):
+            call()
+
+
+def test_infinite_time_raises_at_once(shared_two_atom):
+    start = time.perf_counter()
+    with pytest.raises(ValueError):
+        joint_sub_distribution(shared_two_atom, 1, 1, np.inf, 1.0)
+    assert time.perf_counter() - start < 1.0

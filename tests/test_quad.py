@@ -79,3 +79,53 @@ def test_degenerate_interval_rejected():
         integrate(f, 1.0, 1.0)
     with pytest.raises(ValueError):
         integrate(f, 2.0, 1.0)
+
+
+def _vector_integrand(x):
+    return np.stack([np.sin(40.0 * x), np.exp(-x) * x ** 2], axis=-1)
+
+
+def test_batched_panels_equal_single_panels():
+    a = np.array([0.0, 0.4, 1.1])
+    b = np.array([0.4, 1.1, 3.0])
+    val, err = gk15(_vector_integrand, a, b)
+    assert val.shape == err.shape == (3, 2)
+    for s in range(3):
+        v1, e1 = gk15(_vector_integrand, a[s], b[s])
+        np.testing.assert_allclose(val[s], v1, rtol=1e-14, atol=1e-16)
+        np.testing.assert_allclose(err[s], e1, rtol=1e-12, atol=1e-16)
+
+
+def test_batched_segments_equal_scalar_calls():
+    rel_tol, abs_tol = 1e-10, 1e-13
+    a = np.array([0.0, 0.5, 1.3, 3.0])
+    b = np.array([0.5, 1.3, 3.0, 3.2])
+    val, err = integrate(_vector_integrand, a, b, rel_tol, abs_tol)
+    assert val.shape == err.shape == (4, 2)
+    for s in range(4):
+        v1, _ = integrate(_vector_integrand, a[s], b[s], rel_tol, abs_tol)
+        assert np.all(np.abs(val[s] - v1)
+                      <= np.maximum(abs_tol, rel_tol * np.abs(v1)))
+        assert np.all(err[s] <= np.maximum(abs_tol, rel_tol * np.abs(val[s])))
+    total, _ = integrate(_vector_integrand, 0.0, 3.2, rel_tol, abs_tol)
+    np.testing.assert_allclose(val.sum(axis=0), total, rtol=1e-9, atol=1e-12)
+
+
+def test_batched_budget_exhaustion_raises():
+    f = lambda x: np.sin(1.0 / (x + 1e-12))[:, None]
+    with pytest.raises(QuadratureError) as info:
+        integrate(f, np.array([0.0, 1.0]), np.array([1.0, 2.0]),
+                  rel_tol=1e-13, abs_tol=0.0, max_subdivisions=3)
+    assert info.value.value.shape == (2, 1)
+
+
+def test_nan_integrand_exhausts_the_budget():
+    f = lambda x: np.where(x > 0.5, np.nan, 1.0)[:, None]
+    with pytest.raises(QuadratureError):
+        integrate(f, 0.0, 1.0, max_subdivisions=20)
+
+
+def test_batched_endpoints_must_increase():
+    f = lambda x: np.ones_like(x)[:, None]
+    with pytest.raises(ValueError):
+        integrate(f, np.array([0.0, 1.0]), np.array([1.0, 1.0]))

@@ -185,3 +185,17 @@ def test_config_validation():
         SimConfig(n_pairs=-1, seed=0)
     with pytest.raises(ValueError):
         SimConfig(n_pairs=10, seed=0, censoring_rate=-0.5)
+
+
+def test_csv_reader_rejects_non_finite_times_and_bad_flags(tmp_path):
+    path = tmp_path / "bad.csv"
+    header = "pair_id,t1,j1,d1,t2,j2,d2\n"
+    for row in ("0,nan,1,7,inf,2,1", "0,nan,1,1,2.0,1,1",
+                "0,1.0,1,1,inf,1,1", "0,1.0,1,7,2.0,1,1",
+                "0,1.0,1,1,2.0,1,-1", "0,1.0,1,1,2.0,1,true"):
+        path.write_text(header + "0,1.0,1,1,2.0,1,1\n" + row + "\n")
+        with pytest.raises(ValueError, match="line 3"):
+            read_dataset_csv(str(path))
+    path.write_text(header + "0,1.0,1,1,2.0,0,0\n")
+    (obs,) = read_dataset_csv(str(path))
+    assert obs.d1 is True and obs.d2 is False
