@@ -1,17 +1,19 @@
 """Regularized upper incomplete gamma function.
 
-Evaluation is split at x = s + 1: the ascending series converges
-geometrically below the split and Lentz's continued fraction above it.
-Log-space variants stay finite deep in the right tail, where the function
-value itself underflows.  The raw series and continued-fraction factors are
-exposed so that callers forming ratios (hazards, conditional tails) can
-cancel the common exponential prefactor algebraically instead of numerically.
+In the bulk, Q(s, x) comes from scipy's compiled ``gammaincc`` and
+``gammainc`` (DiDonato & Morris, ACM TOMS 12(4), 1986).  ``log Q`` is
+``log1p(-P)`` below x = s + 1, which keeps -log Q relatively accurate where
+Q is close to 1, and ``log(Q)`` above it.  Deep in the right tail, from
+x = 600 on, Q nears the underflow threshold, so ``log Q`` is assembled in
+log space from Lentz's continued fraction instead.  The continued-fraction
+factor is exposed so that callers forming ratios (hazards) can cancel the
+common exponential prefactor algebraically instead of numerically.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import gammaln
+from scipy.special import gammainc, gammaincc, gammaln
 
 MAX_ITER = 1000
 
@@ -19,6 +21,10 @@ MAX_ITER = 1000
 # continued-fraction correction factor rattles at ~2 ulp once converged.
 _REL_EPS = 4e-16
 _TINY = 1e-300
+
+# From here on log Q is taken from the continued fraction: Q(s, 600) is still
+# a normal double (above 4e-267 for s >= 0.001), but not for much longer.
+_LOG_TAIL_X = 600.0
 
 
 class IncompleteGammaError(ArithmeticError):
@@ -71,46 +77,33 @@ def cf_upper_sum(s, x):
     raise IncompleteGammaError("upper-tail continued fraction did not converge")
 
 
-def _split_masks(s, x):
+def _checked(s, x):
+    s, x = np.broadcast_arrays(np.asarray(s, float), np.asarray(x, float))
     if np.any(s <= 0.0):
         raise ValueError("shape parameter must be positive")
     if np.any(x < 0.0):
         raise ValueError("argument must be nonnegative")
-    zero = x == 0.0
-    low = (x > 0.0) & (x < s + 1.0)
-    high = x >= s + 1.0
-    return zero, low, high
+    return s, x
 
 
 def gammainc_upper(s, x):
     """Regularized upper incomplete gamma Q(s, x) = Gamma(s, x) / Gamma(s)."""
-    s_arr, x_arr = np.broadcast_arrays(np.asarray(s, float), np.asarray(x, float))
-    zero, low, high = _split_masks(s_arr, x_arr)
-    out = np.empty(s_arr.shape)
-    out[zero] = 1.0
-    if np.any(low):
-        sl, xl = s_arr[low], x_arr[low]
-        p = series_lower_sum(sl, xl) * np.exp(sl * np.log(xl) - xl - gammaln(sl))
-        out[low] = 1.0 - p
-    if np.any(high):
-        sh, xh = s_arr[high], x_arr[high]
-        f = cf_upper_sum(sh, xh)
-        out[high] = np.exp(sh * np.log(xh) - xh - gammaln(sh)) * f
+    s, x = _checked(s, x)
+    out = gammaincc(s, x)
     return float(out) if out.ndim == 0 else out
 
 
 def log_gammainc_upper(s, x):
     """log Q(s, x), finite far into the right tail where Q underflows."""
-    s_arr, x_arr = np.broadcast_arrays(np.asarray(s, float), np.asarray(x, float))
-    zero, low, high = _split_masks(s_arr, x_arr)
-    out = np.empty(s_arr.shape)
-    out[zero] = 0.0
-    if np.any(low):
-        sl, xl = s_arr[low], x_arr[low]
-        p = series_lower_sum(sl, xl) * np.exp(sl * np.log(xl) - xl - gammaln(sl))
-        out[low] = np.log1p(-p)
-    if np.any(high):
-        sh, xh = s_arr[high], x_arr[high]
-        f = cf_upper_sum(sh, xh)
-        out[high] = sh * np.log(xh) - xh - gammaln(sh) + np.log(f)
+    s, x = _checked(s, x)
+    out = np.empty(s.shape)
+    low = x < s + 1.0
+    out[low] = np.log1p(-gammainc(s[low], x[low]))
+    tail = ~low & (x >= _LOG_TAIL_X)
+    high = ~low & ~tail
+    out[high] = np.log(gammaincc(s[high], x[high]))
+    if np.any(tail):
+        st, xt = s[tail], x[tail]
+        out[tail] = (st * np.log(xt) - xt - gammaln(st)
+                     + np.log(cf_upper_sum(st, xt)))
     return float(out) if out.ndim == 0 else out

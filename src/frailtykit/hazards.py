@@ -24,10 +24,10 @@ from enum import Enum
 from typing import Callable
 
 import numpy as np
-from scipy.optimize import brentq
-from scipy.special import gammaln
+from scipy.special import (gammainc, gammaincc, gammainccinv, gammaincinv,
+                           gammaln)
 
-from ._incgamma import cf_upper_sum, log_gammainc_upper, series_lower_sum
+from ._incgamma import cf_upper_sum, log_gammainc_upper
 
 __all__ = [
     "Family",
@@ -43,7 +43,8 @@ __all__ = [
     "hazard_spec_to_dict",
 ]
 
-_BRENTQ_RTOL = 4.0 * np.finfo(float).eps
+# Past this x the gamma hazard is taken from the continued fraction alone.
+_HAZARD_CF_X = 40.0
 
 
 class Family(str, Enum):
@@ -105,21 +106,28 @@ def _hazard_array(spec, t):
         lt = np.log(t)
         z = np.log(a) + g * lt
         return np.exp(np.log(a * g) + (g - 1.0) * lt - np.logaddexp(0.0, z))
-    # gamma family: h = f / S.  Below the series/CF split evaluate the ratio
-    # directly; above it the exponential prefactors cancel algebraically,
-    # leaving h = 1 / (t * F_cf), which avoids loss of precision at large t.
+    # gamma family: h = f / Q.  From x = 40 on (and past the continued
+    # fraction's x = s + 1 seam) the exponential prefactors of f and Q cancel
+    # algebraically, leaving h = 1 / (t * F_cf); forming f and Q there would
+    # cost a relative error of about x ulp.
     x = a * t
+    tail = x >= max(_HAZARD_CF_X, g + 1.0)
+    if not np.any(tail):
+        return _gamma_density_over_survival(g, a, x)
     out = np.empty(t.shape)
-    low = x < g + 1.0
-    if np.any(low):
-        xl, tl = x[low], t[low]
-        p = series_lower_sum(g, xl) * np.exp(g * np.log(xl) - xl - gammaln(g))
-        logf = g * np.log(a) + (g - 1.0) * np.log(tl) - xl - gammaln(g)
-        out[low] = np.exp(logf) / (1.0 - p)
-    high = ~low
-    if np.any(high):
-        out[high] = 1.0 / (t[high] * cf_upper_sum(g, x[high]))
+    out[~tail] = _gamma_density_over_survival(g, a, x[~tail])
+    out[tail] = 1.0 / (t[tail] * cf_upper_sum(g, x[tail]))
     return out
+
+
+def _gamma_density_over_survival(g, a, x):
+    # Q as 1 - P below the x = g + 1 seam: scipy's gammaincc is several
+    # times slower than gammainc there (about 5 us per element at g < 1)
+    low = x < g + 1.0
+    surv = np.empty(x.shape)
+    surv[low] = 1.0 - gammainc(g, x[low])
+    surv[~low] = gammaincc(g, x[~low])
+    return a * np.exp((g - 1.0) * np.log(x) - x - gammaln(g)) / surv
 
 
 def _cumulative_array(spec, t):
@@ -146,19 +154,86 @@ def cumulative_hazard(spec, t):
     return _unwrap(_cumulative_array(spec, arr), arr)
 
 
+# The gamma inverse goes through Q = exp(-v) up to here; beyond it Q is
+# about to leave the normal range and the load solver takes over.
+_INVERSE_TAIL_V = 700.0
+
+# Bracket of the load solver: the smallest normal double and 1e300.
+_TIME_FLOOR = np.finfo(float).tiny
+_TIME_CEILING = 1e300
+# A Newton step this small ends the iteration: with quadratic convergence
+# the error left after it is far below rounding.
+_NEWTON_STEP_TOL = 1e-9
+_NEWTON_MAX_ITER = 200
+
+
+def _solve_total_load(specs, eps, target):
+    """Times t with sum_j eps[:, j] * H_j(t) = target, elementwise.
+
+    Safeguarded Newton on log L against log t from t = 1, where L is the
+    load sum_j eps_j H_j and its log-log slope t * sum_j eps_j h_j / L uses
+    the rates as the derivative.  Steps are taken as t * exp(step), so the
+    root keeps full relative precision at any magnitude.  Every evaluation
+    narrows a bracket [lo, up], which starts at the smallest normal double
+    and at 1e300; a step that lands strictly outside the bracket, or is not
+    finite, bisects it geometrically instead.  An element stops once a
+    Newton step moves log t by at most 1e-9, or once its bracket closes to
+    a few ulp.  A root below the smallest normal double comes back as that
+    double; a root above 1e300 raises RuntimeError.
+    """
+    eps = np.asarray(eps, dtype=float)
+    target = np.asarray(target, dtype=float)
+    t = np.ones(target.shape)
+    lo = np.full(t.shape, _TIME_FLOOR)
+    up = np.full(t.shape, _TIME_CEILING)
+    out = np.empty(t.shape)
+    idx = np.arange(t.size)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        for _ in range(_NEWTON_MAX_ITER):
+            e = eps[idx]
+            load = sum(e[:, j] * _cumulative_array(sp, t)
+                       for j, sp in enumerate(specs))
+            rate = sum(e[:, j] * _hazard_array(sp, t)
+                       for j, sp in enumerate(specs))
+            ratio = load / target[idx]
+            above = ratio >= 1.0
+            up = np.where(above, t, up)
+            lo = np.where(above, lo, t)
+            step = -np.log(ratio) * load / (t * rate)
+            new = t * np.exp(step)
+            bisect = ~((new >= lo) & (new <= up))
+            new = np.where(bisect, np.sqrt(lo) * np.sqrt(up), new)
+            done = np.where(bisect, up - lo <= 4.0 * np.finfo(float).eps * up,
+                            np.abs(step) <= _NEWTON_STEP_TOL)
+            out[idx[done]] = new[done]
+            keep = ~done
+            if not np.any(keep):
+                break
+            idx, t, lo, up = idx[keep], new[keep], lo[keep], up[keep]
+        else:
+            raise RuntimeError("total-hazard inverse did not converge")
+    if np.any(out > (1.0 - 1e-6) * _TIME_CEILING):
+        raise RuntimeError("failed to bracket the total-hazard inverse")
+    return out
+
+
+def _inverse_gamma_array(spec, v):
+    # P = 1 - exp(-v) while it is below 1/2, Q = exp(-v) from there on
+    g, a = spec.gamma, spec.alpha
+    out = np.empty(v.shape)
+    low = v < np.log(2.0)
+    out[low] = gammaincinv(g, -np.expm1(-v[low])) / a
+    tail = v > _INVERSE_TAIL_V
+    mid = ~low & ~tail
+    out[mid] = gammainccinv(g, np.exp(-v[mid])) / a
+    if np.any(tail):
+        vt = v[tail]
+        out[tail] = _solve_total_load([spec], np.ones((vt.size, 1)), vt)
+    return out
+
+
 def _inverse_gamma_scalar(spec, v):
-    f = lambda t: _cumulative_array(spec, np.asarray(t, float)) - v
-    t0 = (v + spec.gamma) / spec.alpha
-    lo = hi = t0
-    for _ in range(600):
-        if f(lo) < 0.0:
-            break
-        lo /= 4.0
-    for _ in range(600):
-        if f(hi) > 0.0:
-            break
-        hi *= 4.0
-    return brentq(f, lo, hi, xtol=1e-300, rtol=_BRENTQ_RTOL)
+    return float(_inverse_gamma_array(spec, np.asarray(v, dtype=float)))
 
 
 def inverse_cumulative_hazard(spec, v):
@@ -178,10 +253,7 @@ def inverse_cumulative_hazard(spec, v):
             lv = np.where(arr > 690.0, arr, np.log(np.expm1(np.minimum(arr, 690.0))))
             out = np.exp((lv - np.log(a)) / g)
     else:
-        flat = arr.reshape(-1)
-        out = np.array([
-            0.0 if x == 0.0 else _inverse_gamma_scalar(spec, x) for x in flat
-        ]).reshape(arr.shape)
+        out = _inverse_gamma_array(spec, arr)
     return _unwrap(out, arr)
 
 

@@ -152,6 +152,12 @@ def _cause_index(m, k, j):
     return int(j) - 1
 
 
+def _check_individual(k):
+    """ValueError unless k names individual 1 or 2."""
+    if isinstance(k, (bool, np.bool_)) or k not in (1, 2):
+        raise ValueError(f"individual must be 1 or 2, got {k!r}")
+
+
 def _check_times(*times, positive=False):
     """ValueError unless every time is finite and nonnegative (positive)."""
     for t in times:
@@ -174,6 +180,8 @@ def conditional_hazard(m, k, j, t, pair_frailty):
 
 def conditional_survival(m, k, t, pair_frailty):
     """exp(-sum_j eps_j H_j(t)) for individual k given the frailty pair."""
+    _check_individual(k)
+    _check_times(t)
     eps = _pair_eps(pair_frailty, k, m.num_causes(k))
     total = 0.0
     for j in range(1, m.num_causes(k) + 1):
@@ -375,6 +383,7 @@ def joint_survival(m, t1, t2, q=None):
 
 def marginal_survival(m, k, t):
     """P(T_k > t)."""
+    _check_individual(k)
     return joint_survival(m, t, 0.0) if k == 1 else joint_survival(m, 0.0, t)
 
 

@@ -1,5 +1,6 @@
 """Hazard families: closed-form values, inverses, decomposition, validation."""
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import special, stats
@@ -179,3 +180,64 @@ def test_dict_round_trip():
     with pytest.raises(ValueError):
         hazard_spec_from_dict({"family": "cauchy", "gamma": 1.0,
                                "alpha": 1.0})
+
+
+def _mp_gamma_h_and_cum(g, a, x):
+    """Gamma hazard and cumulative hazard at x = a t, to 50 digits."""
+    with mpmath.workdps(50):
+        xm = mpmath.mpf(x)
+        if x < g + 1.0:
+            p = mpmath.gammainc(g, 0, xm, regularized=True)
+            q, cum = 1 - p, -mpmath.log1p(-p)
+        else:
+            q = mpmath.gammainc(g, xm, mpmath.inf, regularized=True)
+            cum = -mpmath.log(q)
+        h = a * mpmath.exp((g - 1) * mpmath.log(xm) - xm - mpmath.loggamma(g)) / q
+        return float(h), float(cum)
+
+
+@pytest.mark.parametrize("g", [0.3, 0.8, 1.6, 3.0, 6.0])
+def test_gamma_hazard_and_cumulative_match_mpmath(g):
+    # both sides of the x = g + 1 seam, of the continued-fraction handovers
+    # at x = 40 (hazard) and x = 600 (cumulative), from x = 1e-10 to 900
+    a = 0.7
+    edges = [c * f for c in (g + 1.0, 40.0, 600.0)
+             for f in (1 - 1e-12, 1.0, 1 + 1e-12)]
+    x = np.concatenate([np.geomspace(1e-10, 900.0, 60), edges])
+    t = x / a
+    h = hazard_rate(HazardSpec(Family.GAMMA, g, a), t)
+    cum = cumulative_hazard(HazardSpec(Family.GAMMA, g, a), t)
+    for xi, hi, ci in zip(a * t, h, cum):
+        h_ref, cum_ref = _mp_gamma_h_and_cum(g, a, float(xi))
+        # x**(g-1) and P ~ x**g carry |g log x| ulp of rounding at tiny x
+        tol = 5e-14 if xi < 1e-3 else 1.5e-14
+        assert abs(hi - h_ref) <= tol * h_ref, xi
+        assert abs(ci - cum_ref) <= tol * cum_ref, xi
+
+
+@pytest.mark.parametrize("g", [0.3, 0.8, 1.0, 2.5, 6.0])
+@pytest.mark.parametrize("a", [0.2, 1.0, 3.0])
+def test_gamma_inverse_round_trips_where_exp_minus_v_underflows(g, a):
+    # v = 700 is where the inverse leaves Q = exp(-v) for the load solver,
+    # and exp(-v) leaves the normal range soon after
+    spec = HazardSpec(Family.GAMMA, g, a)
+    v = np.concatenate([np.geomspace(1e-12, 800.0, 120),
+                        [np.log(2.0), 699.999, 700.0, 700.001, 710.0, 745.0]])
+    t = inverse_cumulative_hazard(spec, v)
+    assert np.all(np.isfinite(t) & (t > 0.0))
+    back = cumulative_hazard(spec, t)
+    assert np.max(np.abs(back - v) / v) < 2e-14
+    again = inverse_cumulative_hazard(spec, back)
+    # dt / t = (dH / H) / (d log H / d log t), and that slope is about g
+    assert np.max(np.abs(again - t) / t) < 2e-14 / min(g, 1.0)
+
+
+def test_gamma_inverse_is_vectorized_and_keeps_shapes():
+    spec = HazardSpec(Family.GAMMA, 1.7, 0.9)
+    v = np.array([[0.0, 0.5], [3.0, 750.0]])
+    t = inverse_cumulative_hazard(spec, v)
+    assert t.shape == (2, 2)
+    assert t[0, 0] == 0.0
+    for vi, ti in zip(v.ravel(), t.ravel()):
+        assert inverse_cumulative_hazard(spec, float(vi)) == ti
+    assert isinstance(inverse_cumulative_hazard(spec, 2.0), float)

@@ -517,3 +517,23 @@ def test_infinite_time_raises_at_once(shared_two_atom):
     with pytest.raises(ValueError):
         joint_sub_distribution(shared_two_atom, 1, 1, np.inf, 1.0)
     assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("k", [0, 3, -1, 1.5, True])
+def test_individual_outside_range_raises(shared_two_atom, k):
+    pair = ([1.0, 1.0], [1.0, 1.0])
+    with pytest.raises(ValueError, match="individual"):
+        marginal_survival(shared_two_atom, k, 1.0)
+    with pytest.raises(ValueError, match="individual"):
+        conditional_survival(shared_two_atom, k, 1.0, pair)
+
+
+@pytest.mark.parametrize("t, match", [(np.nan, "finite"), (np.inf, "finite"),
+                                      (-np.inf, "finite"),
+                                      (-0.5, "nonnegative")])
+def test_conditional_survival_rejects_bad_times(shared_two_atom, t, match):
+    pair = ([1.0, 1.0], [1.0, 1.0])
+    with pytest.raises(ValueError, match=match):
+        conditional_survival(shared_two_atom, 1, t, pair)
+    with pytest.raises(ValueError, match=match):
+        conditional_survival(shared_two_atom, 2, np.array([0.5, t]), pair)

@@ -15,6 +15,7 @@ from frailtykit import (
     HazardSpec,
     ModelSpec,
     SimConfig,
+    cumulative_hazard,
     dkw_bandwidth,
     marginal_sub_distribution,
     read_dataset_csv,
@@ -23,6 +24,9 @@ from frailtykit import (
     simulate_table,
     write_dataset_csv,
 )
+
+from frailtykit import hazards
+from frailtykit.simulate import SHARD_SIZE, _invert_total_load
 
 from helpers import random_model
 
@@ -199,3 +203,112 @@ def test_csv_reader_rejects_non_finite_times_and_bad_flags(tmp_path):
     path.write_text(header + "0,1.0,1,1,2.0,0,0\n")
     (obs,) = read_dataset_csv(str(path))
     assert obs.d1 is True and obs.d2 is False
+
+
+def _bisected_load_root(specs, eps, target):
+    """Reference root of sum_j eps[:, j] H_j(t) = target by bisection:
+    first on log t between the smallest normal double and 1e300, then on t
+    itself, which resolves the root to the last ulp at any magnitude."""
+    def above(t):
+        with np.errstate(over="ignore"):
+            load = sum(eps[:, j] * cumulative_hazard(sp, t)
+                       for j, sp in enumerate(specs))
+        return load >= target
+
+    lo = np.full(target.shape, np.log(np.finfo(float).tiny))
+    hi = np.full(target.shape, np.log(1e300))
+    for _ in range(100):
+        mid = 0.5 * (lo + hi)
+        up = above(np.exp(mid))
+        hi = np.where(up, mid, hi)
+        lo = np.where(up, lo, mid)
+    lo = np.maximum(np.exp(lo) * (1 - 1e-9), np.finfo(float).tiny)
+    hi = np.exp(hi) * (1 + 1e-9)
+    for _ in range(100):
+        mid = 0.5 * (lo + hi)
+        up = above(mid)
+        hi = np.where(up, mid, hi)
+        lo = np.where(up, lo, mid)
+    return 0.5 * (lo + hi)
+
+
+_LOAD_SPECS = {
+    "exponential": [HazardSpec(Family.EXPONENTIAL, 1.0, 0.4)],
+    "weibull": [HazardSpec(Family.WEIBULL, 1.4, 0.6)],
+    "gamma": [HazardSpec(Family.GAMMA, 1.6, 0.8)],
+    "loglogistic": [HazardSpec(Family.LOGLOGISTIC, 2.2, 0.5)],
+    "mixed": [HazardSpec(Family.GAMMA, 1.6, 0.8),
+              HazardSpec(Family.LOGLOGISTIC, 2.2, 0.5),
+              HazardSpec(Family.WEIBULL, 1.4, 0.6),
+              HazardSpec(Family.EXPONENTIAL, 1.0, 0.4)],
+    "weibull_small_gamma": [HazardSpec(Family.WEIBULL, 0.5, 1.3)],
+    "gamma_small_gamma": [HazardSpec(Family.GAMMA, 0.3, 2.0)],
+    "loglogistic_small_gamma": [HazardSpec(Family.LOGLOGISTIC, 0.6, 0.7)],
+    "mixed_small_gamma": [HazardSpec(Family.GAMMA, 0.4, 1.1),
+                          HazardSpec(Family.WEIBULL, 0.7, 0.5)],
+}
+
+
+@pytest.mark.parametrize("name", sorted(_LOAD_SPECS))
+def test_newton_load_inversion_matches_bisection(name):
+    specs = _LOAD_SPECS[name]
+    targets = [1e-300, 1e-12, 0.3, 1.0, 4.0, 700.0]
+    if min(sp.gamma for sp in specs) < 1.0:
+        # the root of t**g = 1e-300 lies below the double range
+        targets.remove(1e-300)
+    if name == "loglogistic_small_gamma":
+        # log(1 + a t**0.6) = 700 at t = 1e507
+        targets[-1] = 300.0
+    rng = np.random.default_rng(len(name))
+    eps = rng.uniform(1.0, 2.0, size=(len(targets) * 8, len(specs)))
+    target = np.repeat(targets, 8) * rng.uniform(1.0, 1.1, size=eps.shape[0])
+    target[::8] = targets
+    got = _invert_total_load(specs, eps, target)
+    ref = _bisected_load_root(specs, eps, target)
+    # at extreme t the load evaluates exp and log of arguments about |log t|
+    # in size and carries that many ulp of rounding; a root of it moves by
+    # that over the log-log slope, which is about gamma
+    g_min = min(sp.gamma for sp in specs)
+    tol = 1e-14 + 1e-15 * np.abs(np.log(ref)) / g_min
+    assert np.all(np.abs(got - ref) <= tol * ref)
+
+
+def test_load_inversion_reports_roots_outside_the_double_range():
+    # H = log(1 + t**0.05) reaches 700 only far beyond 1e300
+    flat = [HazardSpec(Family.LOGLOGISTIC, 0.05, 1.0)]
+    with pytest.raises(RuntimeError, match="bracket"):
+        _invert_total_load(flat, np.ones((1, 1)), np.array([700.0]))
+    # t**0.5 = 1e-300 has its root at 1e-600: the smallest normal double
+    # comes back, positive and finite
+    steep = [HazardSpec(Family.WEIBULL, 0.5, 1.0)]
+    t = _invert_total_load(steep, np.ones((1, 1)), np.array([1e-300]))
+    assert 0.0 < t[0] <= 1.000001 * np.finfo(float).tiny
+
+
+@pytest.mark.parametrize("g", [1.0, 2.0])
+def test_load_inversion_is_exact_for_power_loads(g):
+    # eps * a * t**g = target has the root (target / (eps a))**(1/g), exact
+    # to an ulp or two for g = 1 and 2 at any magnitude
+    family = Family.EXPONENTIAL if g == 1.0 else Family.WEIBULL
+    specs = [HazardSpec(family, g, 0.6)]
+    rng = np.random.default_rng(3)
+    target = np.repeat([1e-300, 1e-12, 1.0, 700.0], 16)
+    eps = rng.uniform(0.4, 2.0, size=(target.size, 1))
+    got = _invert_total_load(specs, eps, target)
+    ref = (target / (eps[:, 0] * 0.6)) ** (1.0 / g)
+    assert np.all(np.abs(got - ref) <= 4 * np.finfo(float).eps * ref)
+
+
+def test_load_inversion_converges_in_a_few_newton_steps(monkeypatch):
+    # the draw of a shard: exponential targets, one load per atom row
+    calls = []
+    cumulative = hazards._cumulative_array
+    monkeypatch.setattr(hazards, "_cumulative_array",
+                        lambda sp, t: calls.append(t.size) or cumulative(sp, t))
+    specs = _LOAD_SPECS["mixed"]
+    rng = np.random.default_rng(8)
+    eps = rng.uniform(0.4, 2.0, size=(3, len(specs)))[
+        rng.integers(3, size=SHARD_SIZE)]
+    _invert_total_load(specs, eps, rng.exponential(size=SHARD_SIZE))
+    # one load evaluation per step; the bisection it replaced took about 50
+    assert 0 < len(calls) // len(specs) <= 8
