@@ -287,8 +287,12 @@ def build_parser():
     p = sub.add_parser("recover", help="refit a model to its own surface")
     p.add_argument("--target", required=True)
     p.add_argument("--init", required=True)
-    p.add_argument("--budget", type=int, default=20000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--budget", type=int, default=20000,
+                   help="cap on F-grid evaluations; every one counts, "
+                        "including the finite-difference Jacobian columns")
+    p.add_argument("--seed", type=int, default=0,
+                   help="accepted for compatibility; recovery is "
+                        "deterministic and ignores it")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_recover)
 

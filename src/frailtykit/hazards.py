@@ -82,14 +82,16 @@ class HazardDecomposition:
     b_at: Callable
 
 
-def _as_time_array(t, *, allow_zero):
+def _as_time_array(t, *, allow_zero, name="time"):
     arr = np.asarray(t, dtype=float)
-    if allow_zero:
-        if np.any(arr < 0.0):
-            raise ValueError("time must be nonnegative")
-    else:
-        if np.any(arr <= 0.0):
-            raise ValueError("time must be strictly positive")
+    # one test for the common case (NaN fails every comparison); the public
+    # hazard functions take scalars in loops, where each ufunc call counts
+    in_range = (arr >= 0.0) if allow_zero else (arr > 0.0)
+    if not (in_range & (arr < np.inf)).all():
+        if not np.all(np.isfinite(arr)):
+            raise ValueError(f"{name} must be finite")
+        raise ValueError(f"{name} must be nonnegative" if allow_zero
+                         else f"{name} must be strictly positive")
     return arr
 
 
@@ -238,9 +240,7 @@ def _inverse_gamma_scalar(spec, v):
 
 def inverse_cumulative_hazard(spec, v):
     """Solve H(t) = v for t.  Closed form except for the gamma family."""
-    arr = np.asarray(v, dtype=float)
-    if np.any(arr < 0.0):
-        raise ValueError("cumulative hazard value must be nonnegative")
+    arr = _as_time_array(v, allow_zero=True, name="cumulative hazard value")
     g, a = spec.gamma, spec.alpha
     fam = spec.family
     if fam in (Family.WEIBULL, Family.EXPONENTIAL):
@@ -326,7 +326,8 @@ def validate_family(spec):
     mono_ok = bool(np.all(np.diff(a_vals) > 0.0))
 
     horizon = _divergence_horizon(spec)
-    h_at = cumulative_hazard(spec, horizon)
+    # H -> inf as t -> inf, and cumulative_hazard takes only finite times
+    h_at = cumulative_hazard(spec, horizon) if np.isfinite(horizon) else np.inf
     div_ok = h_at > 50.0
 
     return FamilyValidation(

@@ -15,9 +15,11 @@ The probes make the model class's identifiability story operational:
   bounded increasing sequence through H_other(H_first^{-1}(.)) for the
   cause-specific structures.  Agreement along the whole sequence forces the
   mixtures to coincide.
-* ``recover_parameters`` / ``fit_mle`` search parameter space with a
-  restarted simplex optimizer, with the unit-mean normalization applied
-  inside the objective so the confounded scale direction is quotiented out.
+* ``recover_parameters`` fits a model back to its F grid by least squares
+  (Levenberg-Marquardt on the residuals F(theta) - target), and ``fit_mle``
+  maximizes the likelihood with a restarted simplex.  Both apply the
+  unit-mean normalization inside the parametrization, so the confounded
+  scale direction is quotiented out.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.optimize import brentq, minimize
+from scipy.optimize import brentq, least_squares, minimize
 from scipy.special import logsumexp
 
 from . import frailty as fr
@@ -157,16 +159,13 @@ def limit_identity_check(m, times=(1e-2, 1e-4, 1e-6)):
     """
     out = {}
     for k in (1, 2):
+        # individual k alone: the other individual's loads are H(0) = 0
+        loads = [md.survival_load_vector(m, t, 0.0) if k == 1
+                 else md.survival_load_vector(m, 0.0, t) for t in times]
         for j in range(1, m.num_causes(k) + 1):
             coord = m.structure.coordinate_of(k, j)
-            residuals = []
-            for t in times:
-                s = np.zeros(m.structure.dimension)
-                for jj in range(1, m.num_causes(k) + 1):
-                    s[m.structure.coordinate_of(k, jj)] += cumulative_hazard(
-                        m.hazard(k, jj), t)
-                residuals.append(abs(fr.tilted_mean(m.frailty, coord, s) - 1.0))
-            out[(k, j)] = tuple(residuals)
+            out[(k, j)] = tuple(
+                abs(fr.tilted_mean(m.frailty, coord, s) - 1.0) for s in loads)
     return out
 
 
@@ -424,49 +423,97 @@ def target_tensor(m, grid, q=None):
     return md.joint_sub_distribution_grid(m, grid.t1_points, grid.t2_points, q)
 
 
+class _BudgetExhausted(Exception):
+    """The residual closure has spent the recovery's evaluation budget."""
+
+
+# Residual returned at a point where the model cannot be built or the grid
+# is not finite; F lies in [0, 1], so every feasible residual is below 1.
+_INFEASIBLE_RESIDUAL = 1e25
+
+
 def recover_parameters(target, grid, init, budget=20000, seed=0,
-                       enforce_unit_mean=True, q=None, restarts=10):
+                       enforce_unit_mean=True, q=None):
     """Fit a model to target sub-distribution values on a grid.
 
-    Minimizes the squared-sum mismatch over hazard parameters and frailty
-    atoms/weights (all free in log scale).  ``target`` is the tensor produced
-    by :func:`target_tensor`; ``init`` fixes families, structure, and atom
-    count and supplies the starting point.
+    Least squares on the residuals F(theta) - target over hazard parameters
+    and frailty atoms/weights (all free in log scale), solved by
+    Levenberg-Marquardt (MINPACK through ``scipy.optimize.least_squares``)
+    with a forward-difference Jacobian.  ``target`` is the tensor produced by
+    :func:`target_tensor`; ``init`` fixes families, structure, and atom count
+    and supplies the starting point.  ``budget`` caps the F-grid evaluations,
+    Jacobian columns included; a run the cap cuts returns the best point
+    evaluated with ``converged=False``.  The solver is deterministic and
+    ignores ``seed``.
     """
     target = np.asarray(target, dtype=float)
     par = _Parametrization(init, enforce_unit_mean)
+    shape = (init.num_causes(1), init.num_causes(2),
+             len(grid.t1_points), len(grid.t2_points))
+    if target.shape != shape:
+        raise ValueError(f"target has shape {target.shape}, the grid and "
+                         f"init give {shape}")
+    if target.size < par.size:
+        raise ValueError(
+            f"the grid gives {target.size} residuals for {par.size} "
+            "parameters; recovery needs at least as many residuals")
+    if budget < 1:
+        raise ValueError("budget must be at least 1")
     quad = q or md.DEFAULT_QUADRATURE
+    evals = 0
+    best_theta, best_r = None, None
 
-    def objective(theta):
-        model = par.unpack(theta)
-        fit = md.joint_sub_distribution_grid(
-            model, grid.t1_points, grid.t2_points, quad)
-        return float(np.sum((fit - target) ** 2))
+    def residuals(theta):
+        nonlocal evals, best_theta, best_r
+        if evals >= budget:
+            raise _BudgetExhausted
+        evals += 1
+        try:
+            # a long step can overflow exp() of a log-atom
+            with np.errstate(over="raise"):
+                model = par.unpack(theta)
+            fit = md.joint_sub_distribution_grid(
+                model, grid.t1_points, grid.t2_points, quad)
+        except (ValueError, FloatingPointError, OverflowError):
+            fit = None
+        if fit is None or not np.all(np.isfinite(fit)):
+            r = np.full(target.size, _INFEASIBLE_RESIDUAL)
+        else:
+            r = (fit - target).ravel()
+        if best_r is None or r @ r < best_r @ best_r:
+            best_theta, best_r = np.array(theta, dtype=float), r
+        return r
 
-    theta, value, evals, converged = _restarted_simplex(
-        objective, par.pack(init), budget, seed, restarts=restarts)
-    model = par.unpack(theta)
-    fit = md.joint_sub_distribution_grid(
-        model, grid.t1_points, grid.t2_points, quad)
+    theta0 = par.pack(init)
+    r0 = residuals(theta0)
+    converged = bool(r0 @ r0 <= 1e-24)
+    if not converged:
+        try:
+            # least_squares evaluates the start again before MINPACK runs
+            res = least_squares(
+                lambda th: r0 if np.array_equal(th, theta0) else residuals(th),
+                theta0, method="lm", xtol=1e-14, ftol=1e-15, gtol=1e-15,
+                max_nfev=budget)
+            converged = res.status > 0
+        except _BudgetExhausted:
+            pass
     return RecoveryResult(
-        model=model,
-        distance=float(np.max(np.abs(fit - target))),
-        objective=float(value),
+        model=par.unpack(best_theta),
+        distance=float(np.max(np.abs(best_r))),
+        objective=float(best_r @ best_r),
         evaluations=int(evals),
         converged=bool(converged),
     )
 
 
 def recover_from_model(target_model, init, budget=20000, seed=0,
-                       enforce_unit_mean=True, q=None, restarts=10,
-                       grid=None):
+                       enforce_unit_mean=True, q=None, grid=None):
     """Convenience wrapper: build the default grid and target from a model."""
     if grid is None:
         grid = default_probe_grid(target_model)
     target = target_tensor(target_model, grid, q)
     result = recover_parameters(target, grid, init, budget=budget, seed=seed,
-                                enforce_unit_mean=enforce_unit_mean, q=q,
-                                restarts=restarts)
+                                enforce_unit_mean=enforce_unit_mean, q=q)
     return result, grid
 
 

@@ -169,6 +169,17 @@ def test_spec_validation_errors():
         inverse_cumulative_hazard(HazardSpec(Family.WEIBULL, 2.0, 1.0), -0.1)
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+@pytest.mark.parametrize(
+    "fn", [hazard_rate, cumulative_hazard, inverse_cumulative_hazard])
+@pytest.mark.parametrize("family", ALL_FAMILIES)
+def test_public_hazard_functions_reject_non_finite_input(family, fn, bad):
+    spec = HazardSpec(family, 1.0 if family is Family.EXPONENTIAL else 1.7,
+                      0.8)
+    with pytest.raises(ValueError, match="must be finite"):
+        fn(spec, bad)
+
+
 def test_dict_round_trip():
     rng = np.random.default_rng(3)
     for _ in range(20):

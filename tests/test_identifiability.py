@@ -31,6 +31,7 @@ from frailtykit import (
     simulate_dataset,
     sub_distribution_distance,
 )
+from frailtykit import model as md
 from frailtykit.identifiability import _sequence_loads, target_tensor
 
 from helpers import ALL_KINDS, perturb_frailty, perturb_model, random_model
@@ -236,6 +237,101 @@ def test_unconstrained_recovery_finds_the_confounded_ridge(benchmark_pair):
         scales.append(float(np.mean(res.model.frailty.atoms)))
     # same surface, different frailty scale: the ridge the mean-1 rule removes
     assert abs(scales[0] - scales[1]) > 0.1 * min(scales)
+
+
+def _recovery_start(seed):
+    """Every parameter of the benchmark model times 1.3 * (1 + u), |u| <= 0.05."""
+    f = 1.3 * (1.0 + 0.05 * np.random.default_rng(seed).uniform(-1, 1, 6))
+    return shared([0.6 * f[0], 1.4 * f[1]], [0.5, 0.5],
+                  [W(1.5 * f[2], 0.5 * f[3]), W(0.8 * f[4], 1.0 * f[5])],
+                  require=False)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_least_squares_recovery_reaches_machine_precision(benchmark_pair,
+                                                          seed):
+    _, target = benchmark_pair
+    res, _ = recover_from_model(target, _recovery_start(seed), budget=300)
+    assert res.converged
+    assert res.evaluations <= 300
+    assert res.distance < 1e-12
+    for key in target.hazards:
+        ts, fs = target.hazard(*key), res.model.hazard(*key)
+        assert abs(fs.gamma - ts.gamma) < 1e-8 * ts.gamma
+        assert abs(fs.alpha - ts.alpha) < 1e-8 * ts.alpha
+
+
+@pytest.mark.parametrize("budget", [1, 2, 5, 12, 13, 30])
+def test_recovery_budget_caps_every_grid_evaluation(benchmark_pair, budget,
+                                                    monkeypatch):
+    _, target = benchmark_pair
+    grid = default_probe_grid(target)
+    tensor = target_tensor(target, grid)
+    seen = []
+    real_grid = md.joint_sub_distribution_grid
+
+    def counting_grid(m, *args):
+        fit = real_grid(m, *args)
+        r = (fit - tensor).ravel()
+        seen.append((m, float(r @ r)))
+        return fit
+
+    monkeypatch.setattr(md, "joint_sub_distribution_grid", counting_grid)
+    res = recover_parameters(tensor, grid, _recovery_start(0), budget=budget)
+    assert res.evaluations == len(seen) <= budget
+    assert not res.converged
+    # the result is the best point evaluated, reported without a new grid
+    best_model, best_value = min(seen, key=lambda item: item[1])
+    assert res.objective == best_value
+    assert md.model_to_dict(res.model) == md.model_to_dict(best_model)
+
+
+@pytest.mark.parametrize("failure", ["raise", "nan"])
+def test_recovery_survives_points_where_the_grid_fails(benchmark_pair,
+                                                       failure, monkeypatch):
+    _, target = benchmark_pair
+    grid = default_probe_grid(target)
+    tensor = target_tensor(target, grid)
+    start = _recovery_start(1)
+    start_objective = float(np.sum((target_tensor(start, grid) - tensor) ** 2))
+    calls = []
+    real_grid = md.joint_sub_distribution_grid
+
+    def failing_grid(m, *args):
+        calls.append(None)
+        if len(calls) % 3:
+            return real_grid(m, *args)
+        if failure == "raise":
+            raise FloatingPointError("overflow in a table")
+        return np.full(tensor.shape, np.nan)
+
+    monkeypatch.setattr(md, "joint_sub_distribution_grid", failing_grid)
+    res = recover_parameters(tensor, grid, start, budget=60)
+    # points whose log-atoms overflow never reach the grid but still count
+    assert len(calls) <= res.evaluations <= 60
+    assert np.isfinite(res.objective)
+    assert res.objective < start_objective
+
+
+def test_recovery_rejects_more_parameters_than_residuals():
+    st = FrailtyStructure(FrailtyKind.SHARED, 1, 1)
+    atoms = np.linspace(0.5, 1.5, 13).reshape(-1, 1)
+    g = DiscreteFrailty(st, atoms, np.full(13, 1.0 / 13))
+    m = ModelSpec.from_lists(st, [W(1.5, 0.5)], [W(0.8, 1.0)], g)
+    grid = ProbeGrid((0.2, 0.5, 1.0, 1.5, 2.2), (0.2, 0.5, 1.0, 1.5, 2.2))
+    with pytest.raises(ValueError, match="25 residuals for 29 parameters"):
+        recover_parameters(target_tensor(m, grid), grid, m)
+
+
+def test_recovery_rejects_a_wrong_target_shape_and_an_empty_budget(
+        benchmark_pair):
+    _, target = benchmark_pair
+    grid = default_probe_grid(target)
+    tensor = target_tensor(target, grid)
+    with pytest.raises(ValueError, match="shape"):
+        recover_parameters(tensor[:, :, :-1], grid, target)
+    with pytest.raises(ValueError, match="budget"):
+        recover_parameters(tensor, grid, target, budget=0)
 
 
 def test_mle_exponential_oracle():
