@@ -62,19 +62,20 @@ def _dump_json(obj, path):
 
 
 def _resolve_threads(args):
-    if args.threads is not None:
-        return args.threads
-    env = os.environ.get("FRAILTYKIT_THREADS")
-    if env:
+    n, source = args.threads, "--threads"
+    if n is None:
+        env = os.environ.get("FRAILTYKIT_THREADS")
+        if not env:
+            return 1
         try:
             n = int(env)
         except ValueError:
             raise _InputError(
                 f"FRAILTYKIT_THREADS={env!r} is not an integer")
-        if n < 1:
-            raise _InputError("FRAILTYKIT_THREADS must be at least 1")
-        return n
-    return 1
+        source = "FRAILTYKIT_THREADS"
+    if n < 1:
+        raise _InputError(f"{source} must be at least 1")
+    return n
 
 
 def _cmd_simulate(args):
@@ -156,8 +157,7 @@ def _default_fit_init(dataset, structure, num_atoms, family):
         total = times[k].sum()
         for j in range(1, structure.num_causes(k) + 1):
             rate = max(float((causes[k] == j).sum()) / total, 1e-6)
-            gamma = 1.0 if family is Family.EXPONENTIAL else 1.0
-            hazards[(k, j)] = HazardSpec(family, gamma, rate)
+            hazards[(k, j)] = HazardSpec(family, 1.0, rate)
     d = structure.dimension
     if num_atoms == 1:
         atoms = np.ones((1, d))
@@ -321,10 +321,7 @@ def run(argv=None):
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except _InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (_InputError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -160,7 +160,7 @@ def cumulative_hazard(spec, t):
 # about to leave the normal range and the load solver takes over.
 _INVERSE_TAIL_V = 700.0
 
-# Bracket of the load solver: the smallest normal double and 1e300.
+# Default bracket of the time solver: the smallest normal double and 1e300.
 _TIME_FLOOR = np.finfo(float).tiny
 _TIME_CEILING = 1e300
 # A Newton step this small ends the iteration: with quadratic convergence
@@ -169,54 +169,73 @@ _NEWTON_STEP_TOL = 1e-9
 _NEWTON_MAX_ITER = 200
 
 
-def _solve_total_load(specs, eps, target):
-    """Times t with sum_j eps[:, j] * H_j(t) = target, elementwise.
+def _solve_time(fun, target, ceiling=_TIME_CEILING):
+    """Times t with G(t) = target, elementwise, for an increasing G > 0.
 
-    Safeguarded Newton on log L against log t from t = 1, where L is the
-    load sum_j eps_j H_j and its log-log slope t * sum_j eps_j h_j / L uses
-    the rates as the derivative.  Steps are taken as t * exp(step), so the
+    ``fun(t, idx)`` returns G(t) and dG/dt for the elements ``idx`` (indices
+    into ``target``) that are still open; ``target`` is one-dimensional.
+    Safeguarded Newton on log G against log t from t = min(1, ceiling),
+    with log-log slope t G' / G.  Steps are taken as t * exp(step), so the
     root keeps full relative precision at any magnitude.  Every evaluation
     narrows a bracket [lo, up], which starts at the smallest normal double
-    and at 1e300; a step that lands strictly outside the bracket, or is not
-    finite, bisects it geometrically instead.  An element stops once a
-    Newton step moves log t by at most 1e-9, or once its bracket closes to
-    a few ulp.  A root below the smallest normal double comes back as that
-    double; a root above 1e300 raises RuntimeError.
+    and at ``ceiling``; a step that lands strictly outside the bracket, or
+    is not finite, bisects it geometrically instead.  An element stops once
+    a Newton step moves log t by at most 1e-9, or once its bracket closes
+    to a few ulp.  A root below the smallest normal double comes back as
+    that double; a root at the ceiling raises RuntimeError.
     """
-    eps = np.asarray(eps, dtype=float)
     target = np.asarray(target, dtype=float)
-    t = np.ones(target.shape)
+    t = np.full(target.shape, min(1.0, ceiling))
     lo = np.full(t.shape, _TIME_FLOOR)
-    up = np.full(t.shape, _TIME_CEILING)
+    up = np.full(t.shape, ceiling)
     out = np.empty(t.shape)
     idx = np.arange(t.size)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         for _ in range(_NEWTON_MAX_ITER):
-            e = eps[idx]
-            load = sum(e[:, j] * _cumulative_array(sp, t)
-                       for j, sp in enumerate(specs))
-            rate = sum(e[:, j] * _hazard_array(sp, t)
-                       for j, sp in enumerate(specs))
-            ratio = load / target[idx]
+            value, slope = fun(t, idx)
+            ratio = value / target
             above = ratio >= 1.0
             up = np.where(above, t, up)
             lo = np.where(above, lo, t)
-            step = -np.log(ratio) * load / (t * rate)
+            step = -np.log(ratio) * value / (t * slope)
             new = t * np.exp(step)
+            done = np.abs(step) <= _NEWTON_STEP_TOL
             bisect = ~((new >= lo) & (new <= up))
-            new = np.where(bisect, np.sqrt(lo) * np.sqrt(up), new)
-            done = np.where(bisect, up - lo <= 4.0 * np.finfo(float).eps * up,
-                            np.abs(step) <= _NEWTON_STEP_TOL)
-            out[idx[done]] = new[done]
-            keep = ~done
-            if not np.any(keep):
+            if bisect.any():
+                new = np.where(bisect, np.sqrt(lo) * np.sqrt(up), new)
+                done = np.where(
+                    bisect, up - lo <= 4.0 * np.finfo(float).eps * up, done)
+            if done.any():
+                out[idx[done]] = new[done]
+                keep = ~done
+                idx, new, lo, up, target = (
+                    idx[keep], new[keep], lo[keep], up[keep], target[keep])
+            t = new
+            if not idx.size:
                 break
-            idx, t, lo, up = idx[keep], new[keep], lo[keep], up[keep]
         else:
-            raise RuntimeError("total-hazard inverse did not converge")
-    if np.any(out > (1.0 - 1e-6) * _TIME_CEILING):
-        raise RuntimeError("failed to bracket the total-hazard inverse")
+            raise RuntimeError("time solver did not converge")
+    if np.any(out > (1.0 - 1e-6) * ceiling):
+        raise RuntimeError("failed to bracket the root below the time ceiling")
     return out
+
+
+def _solve_total_load(specs, eps, target):
+    """Times t with sum_j eps[:, j] * H_j(t) = target, elementwise.
+
+    The load and its derivative, the rate sum_j eps_j h_j, go through
+    ``_solve_time``; a root above 1e300 raises RuntimeError.
+    """
+    eps = np.asarray(eps, dtype=float)
+
+    def load(t, idx):
+        e = eps[idx]
+        return (sum(e[:, j] * _cumulative_array(sp, t)
+                    for j, sp in enumerate(specs)),
+                sum(e[:, j] * _hazard_array(sp, t)
+                    for j, sp in enumerate(specs)))
+
+    return _solve_time(load, target)
 
 
 def _inverse_gamma_array(spec, v):

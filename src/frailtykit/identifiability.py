@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.optimize import brentq, least_squares, minimize
+from scipy.optimize import least_squares, minimize
 from scipy.special import logsumexp
 
 from . import frailty as fr
@@ -39,6 +39,7 @@ from .hazards import (
     HazardSpec,
     _cumulative_array,
     _hazard_array,
+    _solve_time,
     cumulative_hazard,
     inverse_cumulative_hazard,
 )
@@ -100,29 +101,31 @@ class ProbeReport:
     verdict: Verdict
 
 
-def _diagonal_quantile(m, level):
-    """Time t with P(T1 <= t or T2 <= t) = level, off the survival diagonal."""
-    def f(t):
-        return (1.0 - md.joint_survival(m, t, t)) - level
-
-    hi = 1.0
-    for _ in range(400):
-        if f(hi) > 0.0:
-            break
-        hi *= 4.0
-    else:
-        raise RuntimeError("diagonal quantile bracket failed")
-    lo = hi
-    for _ in range(400):
-        lo /= 4.0
-        if f(lo) < 0.0:
-            break
-    return brentq(f, lo, hi, rtol=1e-13)
-
-
 def default_probe_grid(m, levels=DEFAULT_QUANTILE_LEVELS):
-    """Model-implied grid: quantiles of the first-failure time on both axes."""
-    pts = tuple(_diagonal_quantile(m, lv) for lv in levels)
+    """Model-implied grid: quantiles of the first-failure time on both axes.
+
+    Every level q is solved in one ``hazards._solve_time`` call on
+    G(t) = -log S(t) = -log1p(-q), with S(t) = P(T1 > t, T2 > t) =
+    sum_w p_w exp(-Lambda_w(t)), where Lambda_w sums eps * H over both
+    individuals' causes at atom w; the derivative is
+    G' = sum_w p_w lambda_w exp(-Lambda_w) / S with lambda_w the matching
+    sum of eps * h.  Levels must be finite and strictly inside (0, 1).
+    """
+    lv = np.asarray(levels, dtype=float).reshape(-1)
+    if not np.all((lv > 0.0) & (lv < 1.0)):
+        raise ValueError(
+            "quantile levels must be finite and strictly inside (0, 1)")
+    weights = m.frailty.weights
+    terms = [(sp, m.eps_matrix(k)[:, j, None])
+             for k in (1, 2) for j, sp in enumerate(m.hazards_for(k))]
+
+    def neg_log_survival(t, idx):
+        damp = np.exp(-sum(e * _cumulative_array(sp, t) for sp, e in terms))
+        rate = sum(e * _hazard_array(sp, t) for sp, e in terms)
+        surv = weights @ damp
+        return -np.log(surv), (weights @ (rate * damp)) / surv
+
+    pts = tuple(_solve_time(neg_log_survival, -np.log1p(-lv)))
     return ProbeGrid(pts, pts)
 
 

@@ -25,6 +25,8 @@ from .hazards import (
     HazardSpec,
     _cumulative_array,
     _hazard_array,
+    _solve_time,
+    _solve_total_load,
     cumulative_hazard,
     hazard_rate,
     hazard_spec_from_dict,
@@ -191,11 +193,6 @@ def conditional_survival(m, k, t, pair_frailty):
 
 # Dyadic levels of the total cumulative hazard stop at 2**54.
 _TOP_LEVEL_EXPONENT = 54
-# Level times are searched no lower than this; the bracket strides
-# log(16) * (2**k - 1), k < _BRACKET_STRIDES, reach it from any double.
-_LOG_TIME_FLOOR = np.log(1e-290)
-_BRACKET_STRIDES = 10
-_LEVEL_NEWTON_ITERATIONS = 100
 
 
 def _total_cumulative(specs, t):
@@ -205,44 +202,15 @@ def _total_cumulative(specs, t):
 def _total_level_time(specs, levels, hi):
     """Times t below hi with sum_j H_j(t) = level, for every level at once.
 
-    Safeguarded Newton on log H against log t.  One evaluation of the total
-    on log times stepping down from hi in doubling strides gives each level
-    a bracket [lo, up] with log H(lo) < log level <= log H(up), and the
-    log-log interpolation between its ends is the starting point.  A Newton
-    step that leaves the bracket, or is not finite, bisects it instead.  A
-    level that the total still reaches at the time floor 1e-290 gets the
-    floor.
+    One ``hazards._solve_time`` call on the total cumulative hazard, with
+    the total rate as its derivative and hi as the ceiling.  A level that
+    the total still reaches at the smallest normal double gets that double.
     """
-    log_level = np.log(np.asarray(levels, dtype=float))
-    strides = np.log(16.0) * (2.0 ** np.arange(_BRACKET_STRIDES) - 1.0)
-    ladder = np.maximum(np.log(hi) - strides, _LOG_TIME_FLOOR)[::-1]
-    # non-finite logs and slopes (H underflowing to 0 far below the level,
-    # hazards overflowing at the floor) only ever trigger bisection
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        g_ladder = np.log(_total_cumulative(specs, np.exp(ladder)))
-        i = np.searchsorted(g_ladder, log_level)
-        up = ladder[i]
-        lo = ladder[np.maximum(i - 1, 0)]
-        g_lo = g_ladder[np.maximum(i - 1, 0)] - log_level
-        g_up = g_ladder[i] - log_level
-        x = lo - g_lo * (up - lo) / (g_up - g_lo)
-        x = np.where((x > lo) & (x <= up), x, up)
-        for _ in range(_LEVEL_NEWTON_ITERATIONS):
-            t = np.exp(x)
-            total = _total_cumulative(specs, t)
-            g = np.log(total) - log_level
-            slope = t * sum(_hazard_array(sp, t) for sp in specs) / total
-            lo = np.where(g < 0.0, x, lo)
-            up = np.where(g < 0.0, up, x)
-            step = x - g / slope
-            bisect = ~((step > lo) & (step <= up) & np.isfinite(slope))
-            step = np.where(bisect, 0.5 * (lo + up), step)
-            done = np.abs(step - x) <= 4.0 * np.finfo(float).eps * np.maximum(
-                1.0, np.abs(x))
-            x = step
-            if done.all():
-                break
-    return np.exp(x)
+    def total(t, idx):
+        return (_total_cumulative(specs, t),
+                sum(_hazard_array(sp, t) for sp in specs))
+
+    return _solve_time(total, levels, ceiling=hi)
 
 
 def _segment_points(specs, t_points, abs_tol):
@@ -375,7 +343,7 @@ def survival_load_vector(m, t1, t2):
     return s
 
 
-def joint_survival(m, t1, t2, q=None):
+def joint_survival(m, t1, t2):
     """P(T1 > t1, T2 > t2); exact finite sum via the frailty transform."""
     _check_times(t1, t2)
     return fr.lst(m.frailty, survival_load_vector(m, t1, t2))
@@ -441,34 +409,32 @@ def joint_sub_density_grid(m, t1_points, t2_points):
 
 
 def time_horizon(m, min_load=40.0):
-    """A time by which every atom's total conditional load exceeds min_load.
+    """The first time by which every atom's total conditional load and every
+    raw cumulative hazard reach min_load.
 
     Past this point each conditional survival is below exp(-min_load), so the
-    sub-distributions have effectively saturated.  Also guarantees every raw
-    cumulative hazard exceeds min_load.  Expansion runs in log-time because
-    log-logistic cumulative hazards grow only logarithmically; an unreachable
-    horizon (beyond double range) raises instead of returning inf.
+    sub-distributions have effectively saturated.  The horizon is the larger
+    of the raw inverses H_j^{-1}(min_load) and, per individual, the largest
+    per-atom root of sum_j eps_j H_j(t) = min_load.  A horizon beyond the
+    double range raises RuntimeError instead of returning inf.
     """
-    t = 0.0
-    for k in (1, 2):
-        for j in range(1, m.num_causes(k) + 1):
-            t = max(t, inverse_cumulative_hazard(m.hazard(k, j), min_load))
-
-    def worst_load(tt):
-        loads = []
+    min_load = float(min_load)
+    if not (np.isfinite(min_load) and min_load > 0.0):
+        raise ValueError("min_load must be positive and finite")
+    message = ("saturation horizon exceeds the floating-point range for "
+               "this model")
+    try:
+        t = max(inverse_cumulative_hazard(m.hazard(k, j), min_load)
+                for k in (1, 2) for j in range(1, m.num_causes(k) + 1))
         for k in (1, 2):
-            cums = np.array([cumulative_hazard(m.hazard(k, j), tt)
-                             for j in range(1, m.num_causes(k) + 1)])
-            loads.append(np.min(m.eps_matrix(k) @ cums))
-        return min(loads)
-
-    log_t = np.log(t)
-    while log_t < 690.0:
-        if worst_load(np.exp(log_t)) >= min_load:
-            return float(np.exp(log_t))
-        log_t += 20.0
-    raise RuntimeError(
-        "saturation horizon exceeds the floating-point range for this model")
+            roots = _solve_total_load(m.hazards_for(k), m.eps_matrix(k),
+                                      np.full(m.frailty.num_atoms, min_load))
+            t = max(t, float(roots.max()))
+    except RuntimeError as exc:
+        raise RuntimeError(message) from exc
+    if not np.isfinite(t):
+        raise RuntimeError(message)
+    return t
 
 
 def model_to_dict(m):

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import frailty as fr
 from .hazards import _hazard_array, _solve_total_load
 
 __all__ = [
@@ -92,10 +93,7 @@ def _simulate_shard(m, seed, shard_index, count, censoring_rate,
                     record_atoms=False):
     """One shard of pairs; the draw order below is part of the format."""
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(shard_index,)))
-    weights = m.frailty.weights
-    atom_idx = np.minimum(
-        np.searchsorted(np.cumsum(weights), rng.random(count), side="right"),
-        m.frailty.num_atoms - 1)
+    atom_idx = fr.sample(m.frailty, rng, count)
     exp_draws = {k: rng.exponential(size=count) for k in (1, 2)}
     cause_draws = {k: rng.random(count) for k in (1, 2)}
     censor = None

@@ -108,6 +108,15 @@ def test_simulate_env_threads(files, monkeypatch):
     assert run(args + ["--out", str(out2)]) == 2
 
 
+@pytest.mark.parametrize("threads", ["0", "-2"])
+def test_simulate_rejects_thread_counts_below_one(files, threads, capsys):
+    out = files["dir"] / "threads.csv"
+    assert run(["simulate", "--model", files["m"], "--n", "10", "--seed",
+                "1", "--out", str(out), "--threads", threads]) == 2
+    assert "--threads must be at least 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_simulate_debug_atoms_column(files):
     out = files["dir"] / "atoms.csv"
     assert run(["simulate", "--model", files["m"], "--n", "50", "--seed",

@@ -3,6 +3,8 @@
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import special, stats
 from scipy.optimize import brentq
 
@@ -18,6 +20,7 @@ from frailtykit import (
     validate_family,
 )
 from frailtykit._quad import integrate_power_substituted
+from frailtykit.hazards import _solve_total_load
 
 from helpers import ALL_FAMILIES, random_hazard
 
@@ -252,3 +255,28 @@ def test_gamma_inverse_is_vectorized_and_keeps_shapes():
     for vi, ti in zip(v.ravel(), t.ravel()):
         assert inverse_cumulative_hazard(spec, float(vi)) == ti
     assert isinstance(inverse_cumulative_hazard(spec, 2.0), float)
+
+
+@st.composite
+def _load_problems(draw):
+    specs = []
+    for _ in range(draw(st.integers(1, 3))):
+        family = draw(st.sampled_from(ALL_FAMILIES))
+        gamma = (1.0 if family is Family.EXPONENTIAL
+                 else draw(st.floats(0.3, 3.0)))
+        specs.append(HazardSpec(family, gamma, draw(st.floats(0.1, 10.0))))
+    n = draw(st.integers(1, 6))
+    eps = np.array([[draw(st.floats(0.2, 5.0)) for _ in specs]
+                    for _ in range(n)])
+    target = np.array([draw(st.floats(1e-6, 20.0)) for _ in range(n)])
+    return specs, eps, target
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(_load_problems())
+def test_total_load_roots_reach_their_targets(problem):
+    specs, eps, target = problem
+    t = _solve_total_load(specs, eps, target)
+    load = sum(eps[:, j] * cumulative_hazard(sp, t)
+               for j, sp in enumerate(specs))
+    assert np.all(np.abs(load - target) <= 1e-12 * target)

@@ -375,3 +375,40 @@ def test_mle_rejects_censored_rows():
     init = shared([1.0], [1.0], [E(0.5), E(0.5)])
     with pytest.raises(ValueError):
         fit_mle(data, m.structure, 1, init)
+
+
+@pytest.mark.parametrize("levels", [
+    (0.0, 0.25, 0.5, 0.75, 0.9),
+    (0.1, 0.25, 0.5, 0.75, 1.0),
+    (0.1, 0.25, 0.5, 0.75, 1.5),
+    (0.1, 0.25, float("nan"), 0.75, 0.9),
+    (-0.1, 0.25, 0.5, 0.75, 0.9),
+])
+def test_default_grid_rejects_levels_outside_the_unit_interval(
+        benchmark_pair, levels):
+    with pytest.raises(ValueError, match="levels"):
+        default_probe_grid(benchmark_pair[1], levels)
+
+
+def _mixed_family_model():
+    st = FrailtyStructure(FrailtyKind.CORRELATED_CAUSE_SPECIFIC, 2, 2)
+    atoms = np.array([[0.5, 0.7, 0.6, 0.8],
+                      [1.0, 1.2, 0.9, 1.1],
+                      [1.6, 1.3, 1.7, 1.2]])
+    g = normalize_to_unit_mean(DiscreteFrailty(st, atoms, [0.3, 0.45, 0.25]))
+    return ModelSpec.from_lists(
+        st,
+        [HazardSpec(Family.GAMMA, 1.6, 0.8),
+         HazardSpec(Family.LOGLOGISTIC, 2.2, 0.5)],
+        [W(1.4, 0.6), E(0.4)], g)
+
+
+def test_default_grid_quantiles_are_exact(benchmark_pair):
+    rng = np.random.default_rng(41)
+    models = [benchmark_pair[1], _mixed_family_model()]
+    models += [random_model(kind, rng) for kind in ALL_KINDS for _ in range(2)]
+    levels = (1e-6, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99)
+    for m in models:
+        grid = default_probe_grid(m, levels)
+        for t, q in zip(grid.t1_points, levels):
+            assert abs(1.0 - joint_survival(m, t, t) - q) <= 1e-14, (t, q)

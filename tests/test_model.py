@@ -537,3 +537,23 @@ def test_conditional_survival_rejects_bad_times(shared_two_atom, t, match):
         conditional_survival(shared_two_atom, 1, t, pair)
     with pytest.raises(ValueError, match=match):
         conditional_survival(shared_two_atom, 2, np.array([0.5, t]), pair)
+
+
+@pytest.mark.parametrize("min_load", [0.0, -1.0, np.inf, np.nan])
+def test_time_horizon_rejects_bad_min_load(shared_two_atom, min_load):
+    with pytest.raises(ValueError, match="min_load"):
+        time_horizon(shared_two_atom, min_load)
+
+
+def test_time_horizon_is_exact_where_the_smallest_atom_binds():
+    # the atom 0.05 needs a far later time than any raw hazard to carry a
+    # load of 40; the horizon is that root, not a step past it
+    structure = FrailtyStructure(FrailtyKind.SHARED, 2, 2)
+    g = DiscreteFrailty(structure, [[0.05], [1.95]], [0.5, 0.5])
+    specs = [W(1.5, 0.5), W(0.8, 1.0)]
+    m = ModelSpec.from_lists(structure, specs, specs, g)
+    t = time_horizon(m)
+    raw = np.array([cumulative_hazard(sp, t) for sp in specs])
+    loads = m.eps_matrix(1) @ raw
+    assert abs(loads.min() - 40.0) <= 1e-12 * 40.0
+    assert np.all(raw >= 40.0 * (1.0 - 1e-12))
