@@ -1,13 +1,12 @@
 """Regularized upper incomplete gamma function.
 
-In the bulk, Q(s, x) comes from scipy's compiled ``gammaincc`` and
-``gammainc`` (DiDonato & Morris, ACM TOMS 12(4), 1986).  ``log Q`` is
-``log1p(-P)`` below x = s + 1, which keeps -log Q relatively accurate where
-Q is close to 1, and ``log(Q)`` above it.  Deep in the right tail, from
-x = 600 on, Q nears the underflow threshold, so ``log Q`` is assembled in
-log space from Lentz's continued fraction instead.  The continued-fraction
-factor is exposed so that callers forming ratios (hazards) can cancel the
-common exponential prefactor algebraically instead of numerically.
+``_log_upper_and_upper`` forms Q(s, x) and log Q(s, x) from one call of
+scipy's ``gammainc`` or ``gammaincc`` (DiDonato & Morris, ACM TOMS 12(4),
+1986).  Below x = s + 1 both come from P: Q = 1 - P and log Q =
+``log1p(-P)``, accurate where Q is close to 1.  Above it Q is ``gammaincc``;
+from x = 600 on, where Q nears underflow, ``log Q`` is assembled in log space
+from Lentz's continued fraction, whose factor callers forming ratios
+(hazards) use to cancel the exponential prefactor algebraically.
 """
 
 from __future__ import annotations
@@ -93,17 +92,28 @@ def gammainc_upper(s, x):
     return float(out) if out.ndim == 0 else out
 
 
-def log_gammainc_upper(s, x):
-    """log Q(s, x), finite far into the right tail where Q underflows."""
-    s, x = _checked(s, x)
-    out = np.empty(s.shape)
+def _log_upper_and_upper(s, x):
+    """(log Q, Q) for broadcast float arrays, unchecked; from x = 600 on Q
+    is exp(log Q), which underflows where log Q stays finite."""
+    q = np.empty(x.shape)
+    log_q = np.empty(x.shape)
     low = x < s + 1.0
-    out[low] = np.log1p(-gammainc(s[low], x[low]))
+    p = gammainc(s[low], x[low])
+    q[low] = 1.0 - p
+    log_q[low] = np.log1p(-p)
     tail = ~low & (x >= _LOG_TAIL_X)
     high = ~low & ~tail
-    out[high] = np.log(gammaincc(s[high], x[high]))
+    q[high] = gammaincc(s[high], x[high])
+    log_q[high] = np.log(q[high])
     if np.any(tail):
         st, xt = s[tail], x[tail]
-        out[tail] = (st * np.log(xt) - xt - gammaln(st)
-                     + np.log(cf_upper_sum(st, xt)))
+        log_q[tail] = (st * np.log(xt) - xt - gammaln(st)
+                       + np.log(cf_upper_sum(st, xt)))
+        q[tail] = np.exp(log_q[tail])
+    return log_q, q
+
+
+def log_gammainc_upper(s, x):
+    """log Q(s, x), finite far into the right tail where Q underflows."""
+    out = _log_upper_and_upper(*_checked(s, x))[0]
     return float(out) if out.ndim == 0 else out

@@ -89,8 +89,6 @@ class FrailtyStructure:
 
     def coordinate_of(self, k, j):
         """Atom coordinate multiplying the hazard of cause j, individual k."""
-        if k not in (1, 2):
-            raise ValueError("individual index must be 1 or 2")
         if not 1 <= j <= self.num_causes(k):
             raise ValueError(f"cause index {j} out of range for individual {k}")
         if self.kind is FrailtyKind.SHARED:
@@ -156,20 +154,34 @@ def normalize_to_unit_mean(g):
     return DiscreteFrailty(g.structure, g.atoms / means, g.weights)
 
 
+def _check_index(i, lo, hi, name):
+    """i as an int; ValueError unless it is an integer (not bool) in lo..hi."""
+    if (isinstance(i, (bool, np.bool_)) or not isinstance(i, (int, np.integer))
+            or not lo <= i <= hi):
+        raise ValueError(f"{name} must be an integer in {lo}..{hi}, got {i!r}")
+    return int(i)
+
+
+def _transform_argument(g, s):
+    """s as a float point (dimension,) or batch (n, dimension); a scalar
+    stands for a point when the dimension is 1."""
+    s_arr = np.asarray(s, dtype=float)
+    if s_arr.ndim == 0 and g.dimension == 1:
+        s_arr = s_arr.reshape(1)
+    if s_arr.ndim == 0 or s_arr.shape[-1] != g.dimension:
+        raise ValueError("transform argument dimension mismatch")
+    if not (s_arr >= 0.0).all():
+        raise ValueError("transform argument must be nonnegative, not NaN")
+    return s_arr
+
+
 def lst(g, s):
     """Laplace transform E[exp(-<s, eps>)] of the mixture.
 
     ``s`` may be a single point of shape (dimension,) or a batch (n, dimension);
-    batches return an (n,) array.  Negative arguments are rejected.
+    batches return an (n,) array.  Negative and NaN arguments are rejected.
     """
-    s_arr = np.asarray(s, dtype=float)
-    if s_arr.ndim == 0 and g.dimension == 1:
-        s_arr = s_arr.reshape(1)
-    if s_arr.shape[-1] != g.dimension:
-        raise ValueError("transform argument dimension mismatch")
-    if np.any(s_arr < 0.0):
-        raise ValueError("transform argument must be nonnegative")
-    vals = np.exp(-(s_arr @ g.atoms.T)) @ g.weights
+    vals = np.exp(-(_transform_argument(g, s) @ g.atoms.T)) @ g.weights
     return float(vals) if vals.ndim == 0 else vals
 
 
@@ -179,16 +191,9 @@ def tilted_mean(g, coordinate, s):
     Equals the coordinate mean at s = 0, so it tends to 1 for normalized
     mixtures as the argument vanishes.
     """
-    if not 0 <= coordinate < g.dimension:
-        raise ValueError("coordinate out of range")
-    s_arr = np.asarray(s, dtype=float)
-    if s_arr.ndim == 0 and g.dimension == 1:
-        s_arr = s_arr.reshape(1)
-    if s_arr.shape[-1] != g.dimension:
-        raise ValueError("transform argument dimension mismatch")
-    if np.any(s_arr < 0.0):
-        raise ValueError("transform argument must be nonnegative")
-    vals = np.exp(-(s_arr @ g.atoms.T)) @ (g.weights * g.atoms[:, coordinate])
+    coordinate = _check_index(coordinate, 0, g.dimension - 1, "coordinate")
+    vals = (np.exp(-(_transform_argument(g, s) @ g.atoms.T))
+            @ (g.weights * g.atoms[:, coordinate]))
     return float(vals) if vals.ndim == 0 else vals
 
 
@@ -228,14 +233,12 @@ def marginal(g, coordinates, structure=None):
     block of a correlated cause-specific law -> shared cause-specific) unless
     an explicit structure of matching dimension is supplied.
     """
-    coords = list(coordinates)
+    coords = [_check_index(c, 0, g.dimension - 1, "coordinate")
+              for c in coordinates]
     if len(coords) == 0:
         raise ValueError("need at least one coordinate")
     if len(set(coords)) != len(coords):
         raise ValueError("duplicate coordinates in marginal")
-    for c in coords:
-        if not 0 <= c < g.dimension:
-            raise ValueError("coordinate out of range")
     if structure is None:
         structure = _infer_marginal_structure(g, len(coords))
     elif structure.dimension != len(coords):
@@ -248,9 +251,7 @@ def marginal(g, coordinates, structure=None):
 
 def expand_to_pair(g, atom_index):
     """Per-cause multipliers ((eps_1^1..), (eps_2^1..)) for one atom."""
-    if not 0 <= atom_index < g.num_atoms:
-        raise ValueError("atom index out of range")
-    row = g.atoms[atom_index]
+    row = g.atoms[_check_index(atom_index, 0, g.num_atoms - 1, "atom index")]
     s = g.structure
     first = tuple(row[s.coordinate_of(1, j)] for j in range(1, s.num_causes_1 + 1))
     second = tuple(row[s.coordinate_of(2, j)] for j in range(1, s.num_causes_2 + 1))

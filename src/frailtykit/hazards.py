@@ -14,7 +14,9 @@ Families:
 * ``loglogistic``: h = alpha * gamma * t**(gamma-1) / (1 + alpha * t**gamma)
 
 All operations accept scalar or ndarray time arguments and return matching
-shapes; scalars come back as plain floats.
+shapes; scalars come back as plain floats.  Inside the package h and H are
+formed together by ``_hazard_and_cumulative``, the gamma family's from one
+incomplete-gamma evaluation.
 """
 
 from __future__ import annotations
@@ -24,10 +26,9 @@ from enum import Enum
 from typing import Callable
 
 import numpy as np
-from scipy.special import (gammainc, gammaincc, gammainccinv, gammaincinv,
-                           gammaln)
+from scipy.special import gammainccinv, gammaincinv, gammaln
 
-from ._incgamma import cf_upper_sum, log_gammainc_upper
+from ._incgamma import _log_upper_and_upper, cf_upper_sum, log_gammainc_upper
 
 __all__ = [
     "Family",
@@ -108,28 +109,7 @@ def _hazard_array(spec, t):
         lt = np.log(t)
         z = np.log(a) + g * lt
         return np.exp(np.log(a * g) + (g - 1.0) * lt - np.logaddexp(0.0, z))
-    # gamma family: h = f / Q.  From x = 40 on (and past the continued
-    # fraction's x = s + 1 seam) the exponential prefactors of f and Q cancel
-    # algebraically, leaving h = 1 / (t * F_cf); forming f and Q there would
-    # cost a relative error of about x ulp.
-    x = a * t
-    tail = x >= max(_HAZARD_CF_X, g + 1.0)
-    if not np.any(tail):
-        return _gamma_density_over_survival(g, a, x)
-    out = np.empty(t.shape)
-    out[~tail] = _gamma_density_over_survival(g, a, x[~tail])
-    out[tail] = 1.0 / (t[tail] * cf_upper_sum(g, x[tail]))
-    return out
-
-
-def _gamma_density_over_survival(g, a, x):
-    # Q as 1 - P below the x = g + 1 seam: scipy's gammaincc is several
-    # times slower than gammainc there (about 5 us per element at g < 1)
-    low = x < g + 1.0
-    surv = np.empty(x.shape)
-    surv[low] = 1.0 - gammainc(g, x[low])
-    surv[~low] = gammaincc(g, x[~low])
-    return a * np.exp((g - 1.0) * np.log(x) - x - gammaln(g)) / surv
+    return _hazard_and_cumulative(spec, t)[0]
 
 
 def _cumulative_array(spec, t):
@@ -142,6 +122,39 @@ def _cumulative_array(spec, t):
             z = np.log(a) + g * np.log(t)
         return np.logaddexp(0.0, z)
     return -log_gammainc_upper(g, a * t)
+
+
+def _hazard_and_cumulative(spec, t):
+    """(h(t), H(t)) on a time array.  The closed forms come unchanged from
+    ``_hazard_array`` and ``_cumulative_array``; the gamma family takes
+    H = -log Q and h = f / Q from one incomplete-gamma call."""
+    if spec.family is not Family.GAMMA:
+        return _hazard_array(spec, t), _cumulative_array(spec, t)
+    # From x = 40 on (and past the continued fraction's x = s + 1 seam) the
+    # exponential prefactors of f and Q cancel algebraically, leaving
+    # h = 1 / (t * F_cf); forming f and Q there would cost a relative error
+    # of about x ulp.
+    g, a = spec.gamma, spec.alpha
+    x = a * t
+    log_q, q = _log_upper_and_upper(*np.broadcast_arrays(g, x))
+    tail = x >= max(_HAZARD_CF_X, g + 1.0)
+    body = ~tail
+    xb = x[body]
+    h = np.empty(x.shape)
+    h[body] = a * np.exp((g - 1.0) * np.log(xb) - xb - gammaln(g)) / q[body]
+    if np.any(tail):
+        h[tail] = 1.0 / (t[tail] * cf_upper_sum(g, x[tail]))
+    return h, -log_q
+
+
+def _rates_and_loads(specs, t):
+    """Per-cause lists [h_1(t), ..., h_L(t)] and [H_1(t), ..., H_L(t)]."""
+    rates, loads = [], []
+    for sp in specs:
+        h, cum = _hazard_and_cumulative(sp, t)
+        rates.append(h)
+        loads.append(cum)
+    return rates, loads
 
 
 def hazard_rate(spec, t):
@@ -230,10 +243,9 @@ def _solve_total_load(specs, eps, target):
 
     def load(t, idx):
         e = eps[idx]
-        return (sum(e[:, j] * _cumulative_array(sp, t)
-                    for j, sp in enumerate(specs)),
-                sum(e[:, j] * _hazard_array(sp, t)
-                    for j, sp in enumerate(specs)))
+        hs, cums = _rates_and_loads(specs, t)
+        return (sum(e[:, j] * c for j, c in enumerate(cums)),
+                sum(e[:, j] * h for j, h in enumerate(hs)))
 
     return _solve_time(load, target)
 
@@ -280,9 +292,7 @@ def decomposition(spec):
     """Expose the h(t) = a * t**(gamma-1) * b(t) factorization."""
     g, a = spec.gamma, spec.alpha
     fam = spec.family
-    if fam is Family.EXPONENTIAL:
-        return HazardDecomposition(a, lambda t: np.ones_like(np.asarray(t, float)))
-    if fam is Family.WEIBULL:
+    if fam in (Family.EXPONENTIAL, Family.WEIBULL):
         return HazardDecomposition(a * g, lambda t: np.ones_like(np.asarray(t, float)))
     if fam is Family.LOGLOGISTIC:
         def b_ll(t):

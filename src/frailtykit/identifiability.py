@@ -37,8 +37,7 @@ from . import model as md
 from .hazards import (
     Family,
     HazardSpec,
-    _cumulative_array,
-    _hazard_array,
+    _rates_and_loads,
     _solve_time,
     cumulative_hazard,
     inverse_cumulative_hazard,
@@ -116,12 +115,13 @@ def default_probe_grid(m, levels=DEFAULT_QUANTILE_LEVELS):
         raise ValueError(
             "quantile levels must be finite and strictly inside (0, 1)")
     weights = m.frailty.weights
-    terms = [(sp, m.eps_matrix(k)[:, j, None])
-             for k in (1, 2) for j, sp in enumerate(m.hazards_for(k))]
+    specs = m.hazards_for(1) + m.hazards_for(2)
+    cols = np.hstack([m.eps_matrix(1), m.eps_matrix(2)]).T[:, :, None]
 
     def neg_log_survival(t, idx):
-        damp = np.exp(-sum(e * _cumulative_array(sp, t) for sp, e in terms))
-        rate = sum(e * _hazard_array(sp, t) for sp, e in terms)
+        hs, cums = _rates_and_loads(specs, t)
+        damp = np.exp(-sum(e * c for e, c in zip(cols, cums)))
+        rate = sum(e * h for e, h in zip(cols, hs))
         surv = weights @ damp
         return -np.log(surv), (weights @ (rate * damp)) / surv
 
@@ -548,11 +548,8 @@ def _log_likelihood(m, times, causes):
     total = np.zeros((m.frailty.num_atoms, n))
     log_h = np.zeros(n)
     for k in (1, 2):
-        specs = m.hazards_for(k)
-        t = times[k]
         cause = causes[k]
-        hs = np.stack([_hazard_array(sp, t) for sp in specs])
-        cums = np.stack([_cumulative_array(sp, t) for sp in specs])
+        hs, cums = map(np.stack, _rates_and_loads(m.hazards_for(k), times[k]))
         eps = m.eps_matrix(k)
         log_h += np.log(hs[cause, np.arange(n)])
         total += np.log(eps[:, cause]) - eps @ cums
@@ -572,6 +569,8 @@ def fit_mle(dataset, structure, num_atoms, init, budget=20000, seed=0,
         raise ValueError("init structure does not match requested structure")
     if init.frailty.num_atoms != num_atoms:
         raise ValueError("init atom count does not match num_atoms")
+    if budget < 1:
+        raise ValueError("budget must be at least 1")
     times, causes = _dataset_arrays(dataset)
     for k in (1, 2):
         if np.any(causes[k] >= structure.num_causes(k)):

@@ -21,10 +21,11 @@ import numpy as np
 
 from . import frailty as fr
 from ._quad import integrate, substitute_power
-from .hazards import (
+# _hazard_array is unused here but looked up on this module by bench/ tests
+from .hazards import (  # noqa: F401
     HazardSpec,
-    _cumulative_array,
     _hazard_array,
+    _rates_and_loads,
     _solve_time,
     _solve_total_load,
     cumulative_hazard,
@@ -146,12 +147,7 @@ def _pair_eps(pair_frailty, k, n_causes):
 def _cause_index(m, k, j):
     """The 0-based position of cause j of individual k; ValueError unless
     j is an integer in 1..L_k."""
-    n = m.num_causes(k)
-    if (isinstance(j, (bool, np.bool_)) or not isinstance(j, (int, np.integer))
-            or not 1 <= j <= n):
-        raise ValueError(
-            f"cause of individual {k} must be an integer in 1..{n}, got {j!r}")
-    return int(j) - 1
+    return fr._check_index(j, 1, m.num_causes(k), f"cause of individual {k}") - 1
 
 
 def _check_individual(k):
@@ -185,18 +181,13 @@ def conditional_survival(m, k, t, pair_frailty):
     _check_individual(k)
     _check_times(t)
     eps = _pair_eps(pair_frailty, k, m.num_causes(k))
-    total = 0.0
-    for j in range(1, m.num_causes(k) + 1):
-        total = total + eps[j - 1] * cumulative_hazard(m.hazard(k, j), t)
+    total = sum(e * cumulative_hazard(sp, t)
+                for e, sp in zip(eps, m.hazards_for(k)))
     return np.exp(-total) if np.ndim(total) else float(np.exp(-total))
 
 
 # Dyadic levels of the total cumulative hazard stop at 2**54.
 _TOP_LEVEL_EXPONENT = 54
-
-
-def _total_cumulative(specs, t):
-    return sum(_cumulative_array(sp, t) for sp in specs)
 
 
 def _total_level_time(specs, levels, hi):
@@ -207,8 +198,8 @@ def _total_level_time(specs, levels, hi):
     the total still reaches at the smallest normal double gets that double.
     """
     def total(t, idx):
-        return (_total_cumulative(specs, t),
-                sum(_hazard_array(sp, t) for sp in specs))
+        hs, cums = _rates_and_loads(specs, t)
+        return sum(cums), sum(hs)
 
     return _solve_time(total, levels, ceiling=hi)
 
@@ -220,7 +211,7 @@ def _segment_points(specs, t_points, abs_tol):
     The levels start at the largest power of two not above abs_tol: below
     it, the first segment carries at most about that much mass."""
     t_max = t_points[-1]
-    total_end = _total_cumulative(specs, t_max)
+    total_end = sum(_rates_and_loads(specs, t_max)[1])
     first = np.frexp(abs_tol)[1] - 1
     levels = np.ldexp(1.0, np.arange(first, _TOP_LEVEL_EXPONENT + 1))
     levels = levels[levels < total_end * 0.999]
@@ -252,8 +243,7 @@ def _cause_curves(specs, eps, t_points, q):
     n_w = eps.shape[0]
 
     def f(u):
-        hs = np.stack([_hazard_array(sp, u) for sp in specs])
-        cums = np.stack([_cumulative_array(sp, u) for sp in specs])
+        hs, cums = map(np.stack, _rates_and_loads(specs, u))
         damp = np.exp(-(eps @ cums))
         # a saturated exponent kills the integrand even where the hazard
         # itself has overflowed, so zero those points instead of inf * 0
@@ -308,16 +298,12 @@ def marginal_sub_distribution(m, k, j, t, q=None):
 
 
 def _density_factors(m, k, ts):
-    """(W, L_k, n) array eps_j exp(-sum_j' eps_j' H_j'(t)) per atom and cause:
-    the sub-density of individual k given the atom, divided by h_j(t)."""
+    """The (L_k, n) baseline hazards of individual k and the (W, L_k, n)
+    array eps_j exp(-sum_j' eps_j' H_j'(t)) per atom and cause: the
+    sub-density of individual k given the atom, divided by h_j(t)."""
     eps = m.eps_matrix(k)
-    cums = np.stack([_cumulative_array(sp, ts) for sp in m.hazards_for(k)])
-    return eps[:, :, None] * np.exp(-(eps @ cums))[:, None, :]
-
-
-def _hazard_rows(m, k, ts):
-    """(L_k, n) baseline hazards of individual k."""
-    return np.stack([_hazard_array(sp, ts) for sp in m.hazards_for(k)])
+    hs, cums = map(np.stack, _rates_and_loads(m.hazards_for(k), ts))
+    return hs, eps[:, :, None] * np.exp(-(eps @ cums))[:, None, :]
 
 
 def marginal_sub_density(m, k, j, t):
@@ -326,8 +312,8 @@ def marginal_sub_density(m, k, j, t):
     _check_times(t, positive=True)
     ts = np.asarray(t, dtype=float)
     flat = ts.reshape(-1)
-    mix = m.frailty.weights @ _density_factors(m, k, flat)[:, col]
-    out = (_hazard_rows(m, k, flat)[col] * mix).reshape(ts.shape)
+    hs, factors = _density_factors(m, k, flat)
+    out = (hs[col] * (m.frailty.weights @ factors[:, col])).reshape(ts.shape)
     return float(out) if out.ndim == 0 else out
 
 
@@ -401,10 +387,9 @@ def joint_sub_density_grid(m, t1_points, t2_points):
     t1s = np.asarray(t1_points, dtype=float).reshape(-1)
     t2s = np.asarray(t2_points, dtype=float).reshape(-1)
     _check_times(t1s, t2s, positive=True)
-    mix = np.einsum("w,wai,wbl->abil", m.frailty.weights,
-                    _density_factors(m, 1, t1s), _density_factors(m, 2, t2s))
-    h1 = _hazard_rows(m, 1, t1s)
-    h2 = _hazard_rows(m, 2, t2s)
+    h1, d1 = _density_factors(m, 1, t1s)
+    h2, d2 = _density_factors(m, 2, t2s)
+    mix = np.einsum("w,wai,wbl->abil", m.frailty.weights, d1, d2)
     return h1[:, None, :, None] * h2[None, :, None, :] * mix
 
 

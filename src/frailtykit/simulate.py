@@ -152,14 +152,8 @@ def simulate_table(m, cfg, record_atoms=False, threads=1):
         with ThreadPoolExecutor(max_workers=threads) as pool:
             shards = list(pool.map(run, plan))
     else:
-        shards = [run(item) for item in plan]
-    if not shards:
-        empty = {"t1": np.empty(0), "j1": np.empty(0, np.int64),
-                 "d1": np.empty(0, bool), "t2": np.empty(0),
-                 "j2": np.empty(0, np.int64), "d2": np.empty(0, bool)}
-        if record_atoms:
-            empty["atom_id"] = np.empty(0, np.int64)
-        shards = [empty]
+        # an empty dataset is one empty shard
+        shards = [run(item) for item in plan or [(0, 0)]]
     table = {"pair_id": np.arange(cfg.n_pairs, dtype=np.int64)}
     for key in shards[0]:
         table[key] = np.concatenate([sh[key] for sh in shards])

@@ -35,3 +35,16 @@ def test_every_traced_boundary_resolves():
     missing = [f"{module_name}.{attr}" for module_name, attr, *_ in boundaries
                if not callable(_resolve(module_name, attr))]
     assert missing == []
+
+
+def test_attributes_the_benchmark_reads_directly_resolve():
+    # besides BOUNDARIES, bench/ reads these module attributes by name (its
+    # tracer test checks that model._hazard_array is patched and restored)
+    from frailtykit import hazards, identifiability, model, simulate
+    from frailtykit._quad import integrate
+
+    assert model._hazard_array is hazards._hazard_array
+    assert model.integrate is integrate
+    assert callable(simulate._invert_total_load)
+    assert isinstance(identifiability._Parametrization, type)
+    assert callable(identifiability._Parametrization.unpack)

@@ -210,6 +210,16 @@ def test_fit_equalizes_cause_counts_for_cause_specific(files):
         "kind": "correlated_cause_specific", "l1": 2, "l2": 2}
 
 
+def test_fit_rejects_an_empty_budget(files, capsys):
+    data = files["dir"] / "budget.csv"
+    assert run(["simulate", "--model", files["exp"], "--n", "30", "--seed",
+                "3", "--out", str(data)]) == 0
+    assert run(["fit", "--data", str(data), "--structure", "shared",
+                "--atoms", "1", "--family", "exponential", "--budget", "0",
+                "--out", str(files["dir"] / "x.json")]) == 2
+    assert "budget" in capsys.readouterr().err
+
+
 def test_fit_rejects_censored_data(files):
     data = files["dir"] / "cens.csv"
     assert run(["simulate", "--model", files["exp"], "--n", "60", "--seed",

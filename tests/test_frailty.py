@@ -218,3 +218,29 @@ def test_coordinate_means():
              [0.5, 0.5])
     means = coordinate_means(g)
     np.testing.assert_allclose(means, [1.0, 1.00005])
+
+
+@pytest.mark.parametrize("s", [[np.nan, 1.0], [[0.5, 1.0], [1.0, np.nan]]])
+def test_transforms_reject_nan_arguments(s):
+    g = make(FrailtyKind.CORRELATED, [[0.5, 1.5], [1.5, 0.5]], [0.5, 0.5])
+    with pytest.raises(ValueError, match="NaN"):
+        lst(g, s)
+    with pytest.raises(ValueError, match="NaN"):
+        tilted_mean(g, 0, s)
+    with pytest.raises(ValueError, match="nonnegative"):
+        lst(g, [-1.0, 1.0])
+    with pytest.raises(ValueError, match="dimension"):
+        tilted_mean(g, 1, 1.0)
+
+
+@pytest.mark.parametrize("index", [1.0, 0.5, True, np.bool_(False), "0", -1, 2])
+def test_coordinate_and_atom_index_must_be_integers_in_range(index):
+    g = make(FrailtyKind.CORRELATED, [[0.5, 1.5], [1.5, 0.5]], [0.5, 0.5])
+    with pytest.raises(ValueError, match="coordinate"):
+        tilted_mean(g, index, [0.1, 0.2])
+    with pytest.raises(ValueError, match="atom index"):
+        expand_to_pair(g, index)
+    with pytest.raises(ValueError, match="coordinate"):
+        marginal(g, [index])
+    assert expand_to_pair(g, np.int64(1)) == ((1.5,) * 2, (0.5,) * 2)
+    assert tilted_mean(g, np.int64(1), [0.0, 0.0]) == 1.0

@@ -20,7 +20,8 @@ from frailtykit import (
     validate_family,
 )
 from frailtykit._quad import integrate_power_substituted
-from frailtykit.hazards import _solve_total_load
+from frailtykit.hazards import (_hazard_and_cumulative, _rates_and_loads,
+                                _solve_total_load)
 
 from helpers import ALL_FAMILIES, random_hazard
 
@@ -227,6 +228,49 @@ def test_gamma_hazard_and_cumulative_match_mpmath(g):
         tol = 5e-14 if xi < 1e-3 else 1.5e-14
         assert abs(hi - h_ref) <= tol * h_ref, xi
         assert abs(ci - cum_ref) <= tol * cum_ref, xi
+
+
+@pytest.mark.parametrize("g", [0.3, 0.8, 1.6, 3.0, 6.0])
+def test_shared_gamma_kernel_matches_mpmath(g):
+    # the same seam points and tolerances as the public functions above
+    a = 0.7
+    edges = [c * f for c in (g + 1.0, 40.0, 600.0)
+             for f in (1 - 1e-12, 1.0, 1 + 1e-12)]
+    x = np.concatenate([np.geomspace(1e-10, 900.0, 60), edges])
+    t = x / a
+    h, cum = _hazard_and_cumulative(HazardSpec(Family.GAMMA, g, a), t)
+    for xi, hi, ci in zip(a * t, h, cum):
+        h_ref, cum_ref = _mp_gamma_h_and_cum(g, a, float(xi))
+        tol = 5e-14 if xi < 1e-3 else 1.5e-14
+        assert abs(hi - h_ref) <= tol * h_ref, xi
+        assert abs(ci - cum_ref) <= tol * cum_ref, xi
+
+
+@pytest.mark.parametrize("family", ALL_FAMILIES)
+def test_shared_kernel_equals_the_public_functions_bit_for_bit(family):
+    # gamma = 700 puts the gamma family's x = g + 1 seam past x = 600
+    gammas = {Family.EXPONENTIAL: [1.0],
+              Family.GAMMA: [0.3, 1.0, 2.5, 700.0]}.get(family, [0.3, 1.0, 2.5])
+    t = np.concatenate([np.geomspace(1e-9, 2000.0, 400), [40.0, 600.0]])
+    for g in gammas:
+        spec = HazardSpec(family, g, 0.9)
+        h, cum = _hazard_and_cumulative(spec, t)
+        assert np.array_equal(h, hazard_rate(spec, t))
+        assert np.array_equal(cum, cumulative_hazard(spec, t))
+        (h_row,), (cum_row,) = _rates_and_loads([spec], t)
+        assert np.array_equal(h_row, h) and np.array_equal(cum_row, cum)
+
+
+def test_shared_kernel_is_warning_free_at_time_zero():
+    # power hazards with a finite h(0): H is not formed from h (t h / g
+    # would be 0 * inf at gamma < 1), and RuntimeWarning is an error here
+    t = np.array([0.0, 1.0])
+    for spec in (HazardSpec(Family.EXPONENTIAL, 1.0, 0.4),
+                 HazardSpec(Family.WEIBULL, 1.0, 0.6),
+                 HazardSpec(Family.WEIBULL, 2.0, 0.6)):
+        h, cum = _hazard_and_cumulative(spec, t)
+        assert cum[0] == 0.0
+        assert h[0] == (spec.alpha if spec.gamma == 1.0 else 0.0)
 
 
 @pytest.mark.parametrize("g", [0.3, 0.8, 1.0, 2.5, 6.0])

@@ -368,6 +368,15 @@ def test_mle_nested_models_and_label_symmetry():
                          canonicalize(fit2p.model.frailty), tol=1e-3)
 
 
+@pytest.mark.parametrize("budget", [0, -5])
+def test_mle_rejects_a_budget_below_one(budget):
+    m = shared([1.0], [1.0], [E(0.7), E(0.3)])
+    data = simulate_dataset(m, SimConfig(n_pairs=20, seed=3))
+    with pytest.raises(ValueError, match="budget"):
+        fit_mle(data, m.structure, 1, m, budget=budget)
+    assert fit_mle(data, m.structure, 1, m, budget=1).evaluations == 1
+
+
 def test_mle_rejects_censored_rows():
     m = shared([1.0], [1.0], [E(0.7), E(0.3)])
     data = simulate_dataset(m, SimConfig(n_pairs=50, seed=3,

@@ -1,0 +1,51 @@
+"""Model-class invariants on random models of every structure.
+
+Seeded property checks over ``helpers.random_model`` (all four families and
+all four frailty structures), evaluated on each model's default probe grid.
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from frailtykit import (
+    default_probe_grid,
+    joint_sub_distribution_grid,
+    joint_survival,
+    marginal_sub_distribution,
+)
+
+from helpers import ALL_KINDS, random_model
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.sampled_from(ALL_KINDS), st.integers(0, 2 ** 32 - 1))
+def test_sub_distribution_invariants_on_the_probe_grid(kind, seed):
+    m = random_model(kind, np.random.default_rng(seed))
+    levels = (0.1, 0.25, 0.5, 0.75, 0.9, 0.99)
+    pts = np.array(default_probe_grid(m, levels).t1_points)
+    f = joint_sub_distribution_grid(m, pts, pts)
+
+    # monotone in both times, nonnegative
+    assert np.all(np.diff(f, axis=2) >= -1e-15)
+    assert np.all(np.diff(f, axis=3) >= -1e-15)
+    assert np.all(f >= 0.0)
+
+    # bounded by the marginal sub-distributions of either individual
+    for j1 in range(m.num_causes(1)):
+        marg = [marginal_sub_distribution(m, 1, j1 + 1, t) for t in pts]
+        assert np.all(f[j1] <= np.asarray(marg)[None, :, None] + 1e-12)
+    for j2 in range(m.num_causes(2)):
+        marg = [marginal_sub_distribution(m, 2, j2 + 1, t) for t in pts]
+        assert np.all(f[:, j2] <= np.asarray(marg)[None, None, :] + 1e-12)
+
+    # inclusion-exclusion: P(T1 <= t1, T2 <= t2) from F and from survival
+    for a, t1 in enumerate(pts):
+        for b, t2 in enumerate(pts):
+            both = (1.0 - joint_survival(m, t1, 0.0)
+                    - joint_survival(m, 0.0, t2) + joint_survival(m, t1, t2))
+            assert abs(f[:, :, a, b].sum() - both) <= 1e-9, (t1, t2)
+
+    # the grid points are quantiles of the first failure time
+    for t, q in zip(pts, levels):
+        assert abs(joint_survival(m, t, t) - (1.0 - q)) <= 1e-12, (t, q)
