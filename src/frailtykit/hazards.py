@@ -15,8 +15,8 @@ Families:
 
 All operations accept scalar or ndarray time arguments and return matching
 shapes; scalars come back as plain floats.  Inside the package h and H are
-formed together by ``_hazard_and_cumulative``, the gamma family's from one
-incomplete-gamma evaluation.
+formed together by ``_hazard_and_cumulative``: the log-logistic family's
+from one log t, the gamma family's from one incomplete-gamma evaluation.
 """
 
 from __future__ import annotations
@@ -102,13 +102,8 @@ def _unwrap(value, arr):
 
 def _hazard_array(spec, t):
     g, a = spec.gamma, spec.alpha
-    fam = spec.family
-    if fam in (Family.WEIBULL, Family.EXPONENTIAL):
+    if spec.family in (Family.WEIBULL, Family.EXPONENTIAL):
         return a * g * t ** (g - 1.0)
-    if fam is Family.LOGLOGISTIC:
-        lt = np.log(t)
-        z = np.log(a) + g * lt
-        return np.exp(np.log(a * g) + (g - 1.0) * lt - np.logaddexp(0.0, z))
     return _hazard_and_cumulative(spec, t)[0]
 
 
@@ -125,16 +120,22 @@ def _cumulative_array(spec, t):
 
 
 def _hazard_and_cumulative(spec, t):
-    """(h(t), H(t)) on a time array.  The closed forms come unchanged from
-    ``_hazard_array`` and ``_cumulative_array``; the gamma family takes
+    """(h(t), H(t)) on a time array.  The power families take the closed
+    forms of ``_hazard_array`` and ``_cumulative_array``.  The log-logistic
+    family shares one log t: H = log(1 + alpha t**gamma) and
+    h = alpha gamma t**(gamma - 1) exp(-H).  The gamma family takes
     H = -log Q and h = f / Q from one incomplete-gamma call."""
+    g, a = spec.gamma, spec.alpha
+    if spec.family is Family.LOGLOGISTIC:
+        lt = np.log(t)
+        cum = np.logaddexp(0.0, np.log(a) + g * lt)
+        return np.exp(np.log(a * g) + (g - 1.0) * lt - cum), cum
     if spec.family is not Family.GAMMA:
         return _hazard_array(spec, t), _cumulative_array(spec, t)
     # From x = 40 on (and past the continued fraction's x = s + 1 seam) the
     # exponential prefactors of f and Q cancel algebraically, leaving
     # h = 1 / (t * F_cf); forming f and Q there would cost a relative error
     # of about x ulp.
-    g, a = spec.gamma, spec.alpha
     x = a * t
     log_q, q = _log_upper_and_upper(*np.broadcast_arrays(g, x))
     tail = x >= max(_HAZARD_CF_X, g + 1.0)

@@ -30,7 +30,6 @@ from enum import Enum
 
 import numpy as np
 from scipy.optimize import least_squares, minimize
-from scipy.special import logsumexp
 
 from . import frailty as fr
 from . import model as md
@@ -456,6 +455,8 @@ def recover_parameters(target, grid, init, budget=20000, seed=0,
     if target.shape != shape:
         raise ValueError(f"target has shape {target.shape}, the grid and "
                          f"init give {shape}")
+    if not np.all(np.isfinite(target)):
+        raise ValueError("target has non-finite entries")
     if target.size < par.size:
         raise ValueError(
             f"the grid gives {target.size} residuals for {par.size} "
@@ -528,33 +529,43 @@ class FitResult:
     converged: bool
 
 
-def _dataset_arrays(dataset):
-    t = {1: [], 2: []}
-    j = {1: [], 2: []}
-    for obs in dataset:
-        if obs.j1 == 0 or obs.j2 == 0:
-            raise ValueError("maximum-likelihood fitting needs complete data")
-        t[1].append(obs.t1)
-        t[2].append(obs.t2)
-        j[1].append(obs.j1)
-        j[2].append(obs.j2)
-    return ({k: np.asarray(v, dtype=float) for k, v in t.items()},
-            {k: np.asarray(v, dtype=np.int64) - 1 for k, v in j.items()})
+def _dataset_arrays(dataset, structure):
+    """Per individual k, built once per fit: the times, the 0-based causes,
+    and each pair's flat index into a C-ordered (causes, n) array."""
+    cols = np.array([(o.t1, o.t2, o.j1, o.j2) for o in dataset], float).T.copy()
+    if not cols.size:
+        raise ValueError("maximum-likelihood fitting needs at least one pair")
+    if np.any(cols[2:] == 0):
+        raise ValueError("maximum-likelihood fitting needs complete data")
+    n = cols.shape[1]
+    causes = {k: cols[k + 1].astype(np.int64) - 1 for k in (1, 2)}
+    if any(np.any(causes[k] >= structure.num_causes(k)) for k in (1, 2)):
+        raise ValueError("dataset contains cause labels beyond the model")
+    return ({k: cols[k - 1] for k in (1, 2)}, causes,
+            {k: c * n + np.arange(n) for k, c in causes.items()})
 
 
-def _log_likelihood(m, times, causes):
-    """Sum over pairs of log joint sub-density, vectorized over the data."""
-    n = times[1].size
-    total = np.zeros((m.frailty.num_atoms, n))
-    log_h = np.zeros(n)
+def _log_likelihood(m, times, causes, observed):
+    """Sum over pairs of log joint sub-density, vectorized over the data.
+
+    The (atoms, n) log-mixture terms are kept C-ordered: ``np.take`` and
+    ``@`` give C order, while fancy indexing the Fortran-ordered
+    ``eps_matrix`` gives a Fortran-ordered gather that is slow to build and
+    to combine, and whose reductions over atoms run n short loops.  A pair
+    whose terms are all -inf gets -inf.
+    """
+    terms = log_h = 0.0
     for k in (1, 2):
-        cause = causes[k]
         hs, cums = map(np.stack, _rates_and_loads(m.hazards_for(k), times[k]))
         eps = m.eps_matrix(k)
-        log_h += np.log(hs[cause, np.arange(n)])
-        total += np.log(eps[:, cause]) - eps @ cums
-    logw = np.log(m.frailty.weights)
-    return float(np.sum(logsumexp(total + logw[:, None], axis=0) + log_h))
+        log_h = log_h + np.log(np.take(hs, observed[k]))
+        terms = terms + (np.take(np.log(eps), causes[k], axis=1) - eps @ cums)
+    terms = terms + np.log(m.frailty.weights)[:, None]
+    top = terms.max(axis=0)
+    shift = np.where(top > -np.inf, top, 0.0)
+    with np.errstate(divide="ignore"):
+        lse = np.log(np.exp(terms - shift).sum(axis=0)) + shift
+    return float(np.sum(lse + log_h))
 
 
 def fit_mle(dataset, structure, num_atoms, init, budget=20000, seed=0,
@@ -571,16 +582,13 @@ def fit_mle(dataset, structure, num_atoms, init, budget=20000, seed=0,
         raise ValueError("init atom count does not match num_atoms")
     if budget < 1:
         raise ValueError("budget must be at least 1")
-    times, causes = _dataset_arrays(dataset)
-    for k in (1, 2):
-        if np.any(causes[k] >= structure.num_causes(k)):
-            raise ValueError("dataset contains cause labels beyond the model")
+    times, causes, observed = _dataset_arrays(dataset, structure)
     n = times[1].size
     par = _Parametrization(init, enforce_unit_mean=True)
 
     def objective(theta):
         model = par.unpack(theta)
-        return -_log_likelihood(model, times, causes) / n
+        return -_log_likelihood(model, times, causes, observed) / n
 
     theta0 = par.pack(init)
     f0 = objective(theta0)

@@ -1,9 +1,12 @@
 """Separation probes, confounding certificate, recovery, MLE."""
 
+import math
+
 import numpy as np
 import pytest
 
 from frailtykit import (
+    BivariateObservation,
     DiscreteFrailty,
     Family,
     FrailtyKind,
@@ -20,6 +23,7 @@ from frailtykit import (
     fit_mle,
     frailty_close,
     inverse_cumulative_hazard,
+    joint_sub_density,
     joint_survival,
     limit_identity_check,
     lst_sequence_test,
@@ -29,10 +33,16 @@ from frailtykit import (
     recover_parameters,
     scale_confounding_transform,
     simulate_dataset,
+    simulate_table,
     sub_distribution_distance,
 )
 from frailtykit import model as md
-from frailtykit.identifiability import _sequence_loads, target_tensor
+from frailtykit.identifiability import (
+    _dataset_arrays,
+    _log_likelihood,
+    _sequence_loads,
+    target_tensor,
+)
 
 from helpers import ALL_KINDS, perturb_frailty, perturb_model, random_model
 
@@ -323,6 +333,16 @@ def test_recovery_rejects_more_parameters_than_residuals():
         recover_parameters(target_tensor(m, grid), grid, m)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_recovery_rejects_a_non_finite_target(benchmark_pair, bad):
+    _, target = benchmark_pair
+    grid = default_probe_grid(target)
+    tensor = target_tensor(target, grid)
+    tensor[0, 1, 2, 3] = bad
+    with pytest.raises(ValueError, match="target"):
+        recover_parameters(tensor, grid, target)
+
+
 def test_recovery_rejects_a_wrong_target_shape_and_an_empty_budget(
         benchmark_pair):
     _, target = benchmark_pair
@@ -375,6 +395,44 @@ def test_mle_rejects_a_budget_below_one(budget):
     with pytest.raises(ValueError, match="budget"):
         fit_mle(data, m.structure, 1, m, budget=budget)
     assert fit_mle(data, m.structure, 1, m, budget=1).evaluations == 1
+
+
+def test_mle_rejects_an_empty_dataset():
+    m = shared([1.0], [1.0], [E(0.7), E(0.3)])
+    with pytest.raises(ValueError, match="at least one pair"):
+        fit_mle([], m.structure, 1, m)
+
+
+def test_mle_log_likelihood_is_the_summed_log_joint_sub_density():
+    # the vectorized kernel against the public density, pair by pair, on
+    # random models of every structure that between them use every family
+    rng = np.random.default_rng(909)
+    families = set()
+    for kind in ALL_KINDS:
+        m = random_model(kind, rng)
+        families |= {spec.family for spec in m.hazards.values()}
+        table = simulate_table(m, SimConfig(n_pairs=200, seed=7))
+        rows = list(zip(table["t1"], table["j1"], table["t2"], table["j2"]))
+        data = [BivariateObservation(t1, j1, True, t2, j2, True)
+                for t1, j1, t2, j2 in rows]
+        res = fit_mle(data, m.structure, m.frailty.num_atoms, m, budget=1)
+        ref = math.fsum(
+            math.log(joint_sub_density(res.model, int(j1), int(j2), t1, t2))
+            for t1, j1, t2, j2 in rows)
+        assert abs(res.log_likelihood - ref) <= 1e-10 * abs(ref), kind
+    assert families == set(Family)
+
+
+def test_log_likelihood_is_minus_inf_where_every_atom_term_is():
+    # H = alpha t**2 overflows at t = 1e200, so every atom term of the first
+    # pair is -inf; the log-sum-exp must give -inf, not -inf - -inf = nan
+    # (the overflow also raises the invalid flag inside the BLAS matmul)
+    m = shared([0.5, 1.5], [0.5, 0.5], [W(2.0, 0.5), E(0.3)])
+    data = [BivariateObservation(1e200, 1, True, 1.0, 2, True),
+            BivariateObservation(1.0, 2, True, 1.0, 1, True)]
+    arrays = _dataset_arrays(data, m.structure)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert _log_likelihood(m, *arrays) == -np.inf
 
 
 def test_mle_rejects_censored_rows():

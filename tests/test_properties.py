@@ -1,7 +1,9 @@
 """Model-class invariants on random models of every structure.
 
 Seeded property checks over ``helpers.random_model`` (all four families and
-all four frailty structures), evaluated on each model's default probe grid.
+all four frailty structures): the sub-distribution invariants on each
+model's default probe grid, normalization at the saturation horizon, and
+the gamma inverse cumulative hazard.
 """
 
 import numpy as np
@@ -9,10 +11,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from frailtykit import (
+    Family,
+    cumulative_hazard,
     default_probe_grid,
+    inverse_cumulative_hazard,
     joint_sub_distribution_grid,
     joint_survival,
     marginal_sub_distribution,
+    time_horizon,
 )
 
 from helpers import ALL_KINDS, random_model
@@ -49,3 +55,27 @@ def test_sub_distribution_invariants_on_the_probe_grid(kind, seed):
     # the grid points are quantiles of the first failure time
     for t, q in zip(pts, levels):
         assert abs(joint_survival(m, t, t) - (1.0 - q)) <= 1e-12, (t, q)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.sampled_from(ALL_KINDS), st.integers(0, 2 ** 32 - 1))
+def test_total_mass_is_one_at_the_time_horizon(kind, seed):
+    # past the horizon every conditional survival is below exp(-40), so
+    # what is left is the quadrature error (default rel_tol 1e-9)
+    m = random_model(kind, np.random.default_rng(seed))
+    tb = time_horizon(m)
+    total = float(joint_sub_distribution_grid(m, [tb], [tb]).sum())
+    assert abs(total - 1.0) <= 1e-8, total
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.sampled_from(ALL_KINDS), st.integers(0, 2 ** 32 - 1),
+       st.floats(1e-12, 800.0))
+def test_gamma_inverse_round_trips_through_the_cumulative_hazard(kind, seed,
+                                                                 v):
+    m = random_model(kind, np.random.default_rng(seed),
+                     families=(Family.GAMMA,), gamma_range=(0.3, 6.0))
+    # scipy's gammaincinv / gammainccinv roots hold H to a few 1e-14
+    for spec in m.hazards.values():
+        t = inverse_cumulative_hazard(spec, v)
+        assert abs(cumulative_hazard(spec, t) - v) <= 1e-13 * v, (spec, v)
