@@ -196,8 +196,6 @@ def _cmd_fit(args):
     except ValueError:
         raise _InputError(f"unknown family {args.family!r}")
     structure = _infer_structure(args.structure, dataset)
-    if any(o.j1 == 0 or o.j2 == 0 for o in dataset):
-        raise _InputError("fit needs complete data; censored rows present")
     init = _default_fit_init(dataset, structure, args.atoms, family)
     try:
         result = ident.fit_mle(dataset, structure, args.atoms, init,

@@ -197,11 +197,11 @@ def tilted_mean(g, coordinate, s):
     return float(vals) if vals.ndim == 0 else vals
 
 
-def _merge_sorted(atoms, weights, tol):
+def _merge_sorted(atoms, weights):
     kept_atoms = [atoms[0]]
     kept_weights = [weights[0]]
     for row, w in zip(atoms[1:], weights[1:]):
-        if np.all(np.abs(row - kept_atoms[-1]) <= tol):
+        if np.all(np.abs(row - kept_atoms[-1]) <= _MERGE_TOL):
             kept_weights[-1] += w
         else:
             kept_atoms.append(row)
@@ -225,13 +225,13 @@ def _infer_marginal_structure(g, n_coords):
         f"no structure kind represents a {n_coords}-coordinate marginal")
 
 
-def marginal(g, coordinates, structure=None):
+def marginal(g, coordinates):
     """Project the mixture onto a subset of coordinates.
 
-    Duplicate projected atoms are merged.  The result's structure is inferred
-    from the projected dimension (1 -> shared, 2 -> correlated, per-individual
-    block of a correlated cause-specific law -> shared cause-specific) unless
-    an explicit structure of matching dimension is supplied.
+    Duplicate projected atoms are merged (``canonicalize``).  The result's
+    structure follows from the projected dimension: 1 -> shared,
+    2 -> correlated, per-individual block of a correlated cause-specific law
+    -> shared cause-specific.
     """
     coords = [_check_index(c, 0, g.dimension - 1, "coordinate")
               for c in coordinates]
@@ -239,23 +239,15 @@ def marginal(g, coordinates, structure=None):
         raise ValueError("need at least one coordinate")
     if len(set(coords)) != len(coords):
         raise ValueError("duplicate coordinates in marginal")
-    if structure is None:
-        structure = _infer_marginal_structure(g, len(coords))
-    elif structure.dimension != len(coords):
-        raise ValueError("supplied structure dimension mismatch")
-    sub = g.atoms[:, coords]
-    order = np.lexsort(sub.T[::-1])
-    atoms, weights = _merge_sorted(sub[order], g.weights[order], _MERGE_TOL)
-    return DiscreteFrailty(structure, atoms, weights)
+    structure = _infer_marginal_structure(g, len(coords))
+    return canonicalize(DiscreteFrailty(structure, g.atoms[:, coords], g.weights))
 
 
 def expand_to_pair(g, atom_index):
-    """Per-cause multipliers ((eps_1^1..), (eps_2^1..)) for one atom."""
-    row = g.atoms[_check_index(atom_index, 0, g.num_atoms - 1, "atom index")]
-    s = g.structure
-    first = tuple(row[s.coordinate_of(1, j)] for j in range(1, s.num_causes_1 + 1))
-    second = tuple(row[s.coordinate_of(2, j)] for j in range(1, s.num_causes_2 + 1))
-    return first, second
+    """Per-cause multipliers ((eps_1^1..), (eps_2^1..)) for one atom: its
+    rows of ``expanded_matrix``."""
+    i = _check_index(atom_index, 0, g.num_atoms - 1, "atom index")
+    return tuple(tuple(expanded_matrix(g, k)[i]) for k in (1, 2))
 
 
 def expanded_matrix(g, k):
@@ -273,10 +265,10 @@ def sample(g, rng, n):
     return np.minimum(idx, g.num_atoms - 1)
 
 
-def canonicalize(g, merge_tol=_MERGE_TOL):
-    """Sort atoms lexicographically and merge duplicates."""
+def canonicalize(g):
+    """Sort atoms lexicographically and merge duplicates (within 1e-12)."""
     order = np.lexsort(g.atoms.T[::-1])
-    atoms, weights = _merge_sorted(g.atoms[order], g.weights[order], merge_tol)
+    atoms, weights = _merge_sorted(g.atoms[order], g.weights[order])
     return DiscreteFrailty(g.structure, atoms, weights)
 
 
@@ -310,17 +302,14 @@ def structure_from_dict(d):
     return FrailtyStructure(kind, int(l1), int(l2))
 
 
-def frailty_to_dict(g, assert_mean_one=None):
+def frailty_to_dict(g):
     """JSON-ready dict.  Sets the assert flag when the mixture is unit-mean."""
-    if assert_mean_one is None:
-        assert_mean_one = bool(
-            np.all(np.abs(coordinate_means(g) - 1.0) <= 1e-9))
     out = {
         "structure": structure_to_dict(g.structure),
         "atoms": [[float(v) for v in row] for row in g.atoms],
         "weights": [float(w) for w in g.weights],
     }
-    if assert_mean_one:
+    if np.all(np.abs(coordinate_means(g) - 1.0) <= 1e-9):
         out["assert_mean_one"] = True
     return out
 

@@ -295,23 +295,16 @@ def decomposition(spec):
     fam = spec.family
     if fam in (Family.EXPONENTIAL, Family.WEIBULL):
         return HazardDecomposition(a * g, lambda t: np.ones_like(np.asarray(t, float)))
-    if fam is Family.LOGLOGISTIC:
-        def b_ll(t):
-            arr = _as_time_array(t, allow_zero=True)
-            with np.errstate(divide="ignore"):
-                z = np.log(a) + g * np.log(arr)
-            return _unwrap(np.exp(-np.logaddexp(0.0, z)), arr)
+    loglogistic = fam is Family.LOGLOGISTIC
 
-        return HazardDecomposition(a * g, b_ll)
-
-    a_value = float(np.exp(g * np.log(a) - gammaln(g)))
-
-    def b_gamma(t):
+    def b_at(t):
+        # log b from H: -H for log-logistic, H - alpha t for gamma
         arr = _as_time_array(t, allow_zero=True)
-        val = np.exp(-a * arr - log_gammainc_upper(g, a * arr))
-        return _unwrap(val, arr)
+        cum = _cumulative_array(spec, arr)
+        return _unwrap(np.exp(-cum if loglogistic else cum - a * arr), arr)
 
-    return HazardDecomposition(a_value, b_gamma)
+    a_value = a * g if loglogistic else float(np.exp(g * np.log(a) - gammaln(g)))
+    return HazardDecomposition(a_value, b_at)
 
 
 @dataclass(frozen=True)

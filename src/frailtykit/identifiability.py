@@ -237,19 +237,18 @@ def scale_confounding_transform(m, c):
     return md.ModelSpec(m.structure, hazards, g, require_unit_mean=False)
 
 
-def probe_models(ma, mb, grid=None, n_max=20, q=None):
+def probe_models(ma, mb, grid=None):
     """Full distinguishability report for a model pair."""
     _check_comparable(ma, mb)
     if grid is None:
         grid = default_probe_grid(ma)
-    pair_gaps = per_pair_distances(ma, mb, grid, q)
+    pair_gaps = per_pair_distances(ma, mb, grid)
     sup = max(pair_gaps.values())
     residuals = {
         "a": tuple(abs(v - 1.0) for v in fr.coordinate_means(ma.frailty)),
         "b": tuple(abs(v - 1.0) for v in fr.coordinate_means(mb.frailty)),
     }
-    gap = lst_sequence_test(ma.frailty, mb.frailty, n_max=n_max,
-                            hazards=ma.hazards)
+    gap = lst_sequence_test(ma.frailty, mb.frailty, hazards=ma.hazards)
     verdict = (Verdict.SEPARATED if sup > SEPARATION_THRESHOLD
                else Verdict.INDISTINGUISHABLE)
     return ProbeReport(
@@ -354,17 +353,22 @@ def _axis_simplex(x0, step):
     return simplex
 
 
-def _restarted_simplex(objective, theta0, budget, seed, restarts=10,
-                       first_step=0.3):
+# Restarts of the simplex, and the edge of the first initial simplex.
+_RESTARTS = 10
+_FIRST_STEP = 0.3
+
+
+def _restarted_simplex(objective, theta0, f0, budget, seed):
     """Nelder-Mead with polish restarts under a shared evaluation budget.
 
+    ``f0`` is the objective at ``theta0``, already spent from the budget.
     Restart i shrinks the initial simplex around the incumbent; every third
     restart jitters the start point to escape shallow basins.  Returns
     (theta, value, evaluations, converged); converged is False when the
     budget ran out before any restart terminated on its own tolerances.
     """
     rng = np.random.default_rng(seed)
-    evals = 0
+    evals = 1
 
     def counted(x):
         nonlocal evals
@@ -375,14 +379,10 @@ def _restarted_simplex(objective, theta0, budget, seed, restarts=10,
             return 1e50
         return v if np.isfinite(v) else 1e50
 
-    best_x = np.array(theta0, dtype=float)
-    best_f = counted(best_x)
-    if best_f <= 1e-24:
-        return best_x, best_f, evals, True
-
+    best_x, best_f = np.array(theta0, dtype=float), f0
     converged = False
-    step = first_step
-    for i in range(restarts):
+    step = _FIRST_STEP
+    for i in range(_RESTARTS):
         remaining = budget - evals
         if remaining < 2 * (best_x.size + 1):
             break
@@ -405,8 +405,6 @@ def _restarted_simplex(objective, theta0, budget, seed, restarts=10,
             best_x = np.array(res.x)
         if res.success:
             converged = True
-        if best_f <= 1e-24:
-            break
         step = max(step * 0.35, 1e-6)
     return best_x, best_f, evals, converged
 
@@ -420,9 +418,9 @@ class RecoveryResult:
     converged: bool
 
 
-def target_tensor(m, grid, q=None):
+def target_tensor(m, grid):
     """The (L1, L2, n1, n2) sub-distribution tensor a recovery run matches."""
-    return md.joint_sub_distribution_grid(m, grid.t1_points, grid.t2_points, q)
+    return md.joint_sub_distribution_grid(m, grid.t1_points, grid.t2_points)
 
 
 class _BudgetExhausted(Exception):
@@ -435,7 +433,7 @@ _INFEASIBLE_RESIDUAL = 1e25
 
 
 def recover_parameters(target, grid, init, budget=20000, seed=0,
-                       enforce_unit_mean=True, q=None):
+                       enforce_unit_mean=True):
     """Fit a model to target sub-distribution values on a grid.
 
     Least squares on the residuals F(theta) - target over hazard parameters
@@ -463,7 +461,6 @@ def recover_parameters(target, grid, init, budget=20000, seed=0,
             "parameters; recovery needs at least as many residuals")
     if budget < 1:
         raise ValueError("budget must be at least 1")
-    quad = q or md.DEFAULT_QUADRATURE
     evals = 0
     best_theta, best_r = None, None
 
@@ -477,7 +474,7 @@ def recover_parameters(target, grid, init, budget=20000, seed=0,
             with np.errstate(over="raise"):
                 model = par.unpack(theta)
             fit = md.joint_sub_distribution_grid(
-                model, grid.t1_points, grid.t2_points, quad)
+                model, grid.t1_points, grid.t2_points)
         except (ValueError, FloatingPointError, OverflowError):
             fit = None
         if fit is None or not np.all(np.isfinite(fit)):
@@ -510,14 +507,11 @@ def recover_parameters(target, grid, init, budget=20000, seed=0,
     )
 
 
-def recover_from_model(target_model, init, budget=20000, seed=0,
-                       enforce_unit_mean=True, q=None, grid=None):
+def recover_from_model(target_model, init, budget=20000, seed=0):
     """Convenience wrapper: build the default grid and target from a model."""
-    if grid is None:
-        grid = default_probe_grid(target_model)
-    target = target_tensor(target_model, grid, q)
-    result = recover_parameters(target, grid, init, budget=budget, seed=seed,
-                                enforce_unit_mean=enforce_unit_mean, q=q)
+    grid = default_probe_grid(target_model)
+    result = recover_parameters(target_tensor(target_model, grid), grid, init,
+                                budget=budget, seed=seed)
     return result, grid
 
 
@@ -568,8 +562,7 @@ def _log_likelihood(m, times, causes, observed):
     return float(np.sum(lse + log_h))
 
 
-def fit_mle(dataset, structure, num_atoms, init, budget=20000, seed=0,
-            restarts=10):
+def fit_mle(dataset, structure, num_atoms, init, budget=20000, seed=0):
     """Maximize the joint sub-density likelihood on complete data.
 
     ``init`` supplies families and the starting point; its structure and atom
@@ -595,7 +588,7 @@ def fit_mle(dataset, structure, num_atoms, init, budget=20000, seed=0,
     if not np.isfinite(f0):
         raise ValueError("log-likelihood is not finite at the init")
     theta, value, evals, converged = _restarted_simplex(
-        objective, theta0, budget, seed, restarts=restarts)
+        objective, theta0, f0, budget, seed)
     return FitResult(
         model=par.unpack(theta),
         log_likelihood=float(-value * n),

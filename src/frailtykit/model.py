@@ -22,9 +22,10 @@ import numpy as np
 from . import frailty as fr
 from ._quad import integrate, substitute_power
 # _hazard_array is unused here but looked up on this module by bench/ tests
-from .hazards import (  # noqa: F401
+from .hazards import _hazard_array  # noqa: F401
+from .hazards import (
     HazardSpec,
-    _hazard_array,
+    _as_time_array,
     _rates_and_loads,
     _solve_time,
     _solve_total_load,
@@ -159,19 +160,13 @@ def _check_individual(k):
 def _check_times(*times, positive=False):
     """ValueError unless every time is finite and nonnegative (positive)."""
     for t in times:
-        arr = np.asarray(t, dtype=float)
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("times must be finite")
-        if positive and np.any(arr <= 0.0):
-            raise ValueError("density requires strictly positive times")
-        if np.any(arr < 0.0):
-            raise ValueError("times must be nonnegative")
+        _as_time_array(t, allow_zero=not positive, name="times")
 
 
 def conditional_hazard(m, k, j, t, pair_frailty):
     """Cause-j hazard of individual k given the frailty pair."""
     col = _cause_index(m, k, j)
-    _check_times(t)
+    _check_times(t, positive=True)
     eps = _pair_eps(pair_frailty, k, m.num_causes(k))
     return eps[col] * hazard_rate(m.hazard(k, j), t)
 
@@ -234,10 +229,9 @@ def _cause_curves(specs, eps, t_points, q):
     ts = np.asarray(t_points, dtype=float)
     if ts.ndim != 1 or ts.size == 0:
         raise ValueError("need a one-dimensional nonempty time grid")
-    if not np.all(np.isfinite(ts)):
-        raise ValueError("times must be finite")
-    if np.any(ts <= 0.0) or np.any(np.diff(ts) <= 0.0):
-        raise ValueError("time grid must be strictly increasing and positive")
+    _check_times(ts, positive=True)
+    if np.any(np.diff(ts) <= 0.0):
+        raise ValueError("time grid must be strictly increasing")
     eps = np.asarray(eps, dtype=float)
     n_l = len(specs)
     n_w = eps.shape[0]
@@ -352,18 +346,15 @@ def joint_sub_density(m, j1, j2, t1, t2):
 def joint_sub_distribution(m, j1, j2, t1, t2, q=None):
     """F_{j1 j2}(t1, t2) = P(T1 <= t1, J1 = j1, T2 <= t2, J2 = j2).
 
-    Computed atom by atom as the product of two one-dimensional conditional
-    integrals, then mixed.
+    One entry of ``joint_sub_distribution_grid``: atom by atom the product
+    of two one-dimensional conditional integrals, then mixed.
     """
     a = _cause_index(m, 1, j1)
     b = _cause_index(m, 2, j2)
     _check_times(t1, t2)
     if t1 == 0.0 or t2 == 0.0:
         return 0.0
-    q = q or DEFAULT_QUADRATURE
-    c1 = sub_distribution_table(m, 1, np.array([float(t1)]), q)[:, a, 0]
-    c2 = sub_distribution_table(m, 2, np.array([float(t2)]), q)[:, b, 0]
-    return float(m.frailty.weights @ (c1 * c2))
+    return float(joint_sub_distribution_grid(m, [t1], [t2], q)[a, b, 0, 0])
 
 
 def joint_sub_distribution_grid(m, t1_points, t2_points, q=None):

@@ -36,6 +36,7 @@ from frailtykit import (
     simulate_table,
     sub_distribution_distance,
 )
+from frailtykit import identifiability as ident
 from frailtykit import model as md
 from frailtykit.identifiability import (
     _dataset_arrays,
@@ -395,6 +396,41 @@ def test_mle_rejects_a_budget_below_one(budget):
     with pytest.raises(ValueError, match="budget"):
         fit_mle(data, m.structure, 1, m, budget=budget)
     assert fit_mle(data, m.structure, 1, m, budget=1).evaluations == 1
+
+
+@pytest.mark.parametrize("budget", [1, 25])
+def test_mle_counts_every_likelihood_evaluation(budget, monkeypatch):
+    # the start is evaluated once, and that evaluation counts
+    truth = shared([0.5, 1.5], [0.5, 0.5], [E(0.6), E(0.4)])
+    data = simulate_dataset(truth, SimConfig(n_pairs=50, seed=5))
+    init = shared([0.7, 1.3], [0.5, 0.5], [E(0.5), E(0.5)])
+    calls = []
+    real_log_likelihood = ident._log_likelihood
+
+    def counting(*args):
+        calls.append(1)
+        return real_log_likelihood(*args)
+
+    monkeypatch.setattr(ident, "_log_likelihood", counting)
+    res = fit_mle(data, truth.structure, 2, init, budget=budget)
+    assert res.evaluations == len(calls) == budget
+
+
+def test_mle_runs_where_the_log_likelihood_is_positive():
+    # rates of 50 and 30 put the densities far above 1, so the minimized
+    # -log L / n is negative from the start; the fit must still search
+    m = shared([1.0], [1.0], [E(50.0), E(30.0)])
+    data = simulate_dataset(m, SimConfig(n_pairs=500, seed=1))
+    init = shared([1.0], [1.0], [E(20.0), E(80.0)])
+    fit = fit_mle(data, m.structure, 1, init, budget=2000, seed=0)
+    assert fit.log_likelihood > 0.0
+    times = np.array([o.t1 for o in data] + [o.t2 for o in data])
+    causes = np.array([o.j1 for o in data] + [o.j2 for o in data])
+    for j in (1, 2):
+        n_j = int(np.sum(causes == j))
+        closed_form = n_j / times.sum()
+        se = np.sqrt(n_j) / times.sum()
+        assert abs(fit.model.hazard(1, j).alpha - closed_form) < 3.0 * se
 
 
 def test_mle_rejects_an_empty_dataset():

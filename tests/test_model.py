@@ -539,6 +539,51 @@ def test_conditional_survival_rejects_bad_times(shared_two_atom, t, match):
         conditional_survival(shared_two_atom, 2, np.array([0.5, t]), pair)
 
 
+_PAIR = ([0.8, 1.2], [1.1, 0.9])
+
+# every model entry point that takes times, and whether it needs them
+# strictly positive (rates, densities and the grid tables)
+_TIME_TAKERS = {
+    "joint_survival": (lambda m, t: joint_survival(m, 1.0, t), False),
+    "marginal_survival": (lambda m, t: marginal_survival(m, 2, t), False),
+    "conditional_hazard": (
+        lambda m, t: conditional_hazard(m, 2, 1, t, _PAIR), True),
+    "conditional_survival": (
+        lambda m, t: conditional_survival(m, 1, t, _PAIR), False),
+    "conditional_sub_distribution": (
+        lambda m, t: conditional_sub_distribution(m, 2, 2, t, _PAIR), False),
+    "marginal_sub_distribution": (
+        lambda m, t: marginal_sub_distribution(m, 1, 2, t), False),
+    "marginal_sub_density": (
+        lambda m, t: marginal_sub_density(m, 2, 1, t), True),
+    "joint_sub_distribution": (
+        lambda m, t: joint_sub_distribution(m, 2, 1, t, 1.0), False),
+    "joint_sub_density": (
+        lambda m, t: joint_sub_density(m, 1, 2, 1.0, t), True),
+    "joint_sub_distribution_grid": (
+        lambda m, t: joint_sub_distribution_grid(m, [t], [0.5, 1.0]), True),
+    "joint_sub_density_grid": (
+        lambda m, t: joint_sub_density_grid(m, [0.5, 1.0], [t]), True),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_TIME_TAKERS))
+@pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf, -0.5, 0.0])
+def test_one_time_check_for_every_entry_point(shared_two_atom, name, t):
+    call, positive = _TIME_TAKERS[name]
+    if not np.isfinite(t):
+        message = "times must be finite"
+    elif positive:
+        message = "times must be strictly positive"
+    elif t < 0.0:
+        message = "times must be nonnegative"
+    else:
+        assert np.all(np.isfinite(call(shared_two_atom, t)))
+        return
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call(shared_two_atom, t)
+
+
 @pytest.mark.parametrize("min_load", [0.0, -1.0, np.inf, np.nan])
 def test_time_horizon_rejects_bad_min_load(shared_two_atom, min_load):
     with pytest.raises(ValueError, match="min_load"):

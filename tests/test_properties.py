@@ -2,8 +2,10 @@
 
 Seeded property checks over ``helpers.random_model`` (all four families and
 all four frailty structures): the sub-distribution invariants on each
-model's default probe grid, normalization at the saturation horizon, and
-the gamma inverse cumulative hazard.
+model's default probe grid, the density as the mixed partial of F, the
+joint survival as a per-atom product, the scalar F as its grid entry,
+normalization at the saturation horizon, and the gamma inverse cumulative
+hazard.
 """
 
 import numpy as np
@@ -15,6 +17,8 @@ from frailtykit import (
     cumulative_hazard,
     default_probe_grid,
     inverse_cumulative_hazard,
+    joint_sub_density_grid,
+    joint_sub_distribution,
     joint_sub_distribution_grid,
     joint_survival,
     marginal_sub_distribution,
@@ -79,3 +83,50 @@ def test_gamma_inverse_round_trips_through_the_cumulative_hazard(kind, seed,
     for spec in m.hazards.values():
         t = inverse_cumulative_hazard(spec, v)
         assert abs(cumulative_hazard(spec, t) - v) <= 1e-13 * v, (spec, v)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.sampled_from(ALL_KINDS), st.integers(0, 2 ** 32 - 1))
+def test_density_is_the_mixed_partial_of_the_sub_distribution(kind, seed):
+    # central differences with steps h = 1e-4 t at the 0.1, 0.5 and 0.9
+    # quantiles; the truncation error is O(h**2) and the worst of 400 seeds
+    # read 1.0e-7 relative
+    m = random_model(kind, np.random.default_rng(seed))
+    pts = np.array(default_probe_grid(m).t1_points)[[0, 2, 4]]
+    h = 1e-4 * pts
+    side = np.ravel(np.column_stack([pts - h, pts + h]))
+    f_grid = joint_sub_distribution_grid(m, side, side)
+    mixed = (f_grid[:, :, 1::2, 1::2] - f_grid[:, :, 1::2, ::2]
+             - f_grid[:, :, ::2, 1::2] + f_grid[:, :, ::2, ::2])
+    density = joint_sub_density_grid(m, pts, pts)
+    fd = mixed / (4.0 * np.outer(h, h))
+    assert np.all(np.abs(fd - density) <= 1e-6 * density)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.sampled_from(ALL_KINDS), st.integers(0, 2 ** 32 - 1))
+def test_joint_survival_is_the_mixed_per_atom_product(kind, seed):
+    # given the atom the individuals are independent: S = sum_w p_w
+    # prod_k exp(-eps_k[w] . H_k(t_k)); the worst of 400 seeds read 6.9e-16
+    m = random_model(kind, np.random.default_rng(seed))
+    pts = (0.0,) + default_probe_grid(m).t1_points[::2]
+    for t1 in pts:
+        for t2 in pts:
+            prod = m.frailty.weights.copy()
+            for k, t in ((1, t1), (2, t2)):
+                loads = [cumulative_hazard(sp, t) for sp in m.hazards_for(k)]
+                prod *= np.exp(-(m.eps_matrix(k) @ loads))
+            expected = prod.sum()
+            assert abs(joint_survival(m, t1, t2) - expected) <= 1e-14 * expected
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.sampled_from(ALL_KINDS), st.integers(0, 2 ** 32 - 1))
+def test_scalar_sub_distribution_is_its_grid_entry(kind, seed):
+    rng = np.random.default_rng(seed)
+    m = random_model(kind, rng)
+    pts = default_probe_grid(m).t1_points
+    t1, t2 = (pts[i] for i in rng.integers(len(pts), size=2))
+    j1, j2 = rng.integers(1, 3, size=2)
+    grid = joint_sub_distribution_grid(m, [t1], [t2])
+    assert joint_sub_distribution(m, j1, j2, t1, t2) == grid[j1 - 1, j2 - 1, 0, 0]
