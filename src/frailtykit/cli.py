@@ -286,8 +286,10 @@ def build_parser():
     p.add_argument("--target", required=True)
     p.add_argument("--init", required=True)
     p.add_argument("--budget", type=int, default=20000,
-                   help="cap on F-grid evaluations; every one counts, "
-                        "including the finite-difference Jacobian columns")
+                   help="cap on evaluations: one per residual vector, "
+                        "adaptive or on a frozen rule; a Jacobian spends "
+                        "one per column, the adaptive pass that builds its "
+                        "rule included")
     p.add_argument("--seed", type=int, default=0,
                    help="accepted for compatibility; recovery is "
                         "deterministic and ignores it")

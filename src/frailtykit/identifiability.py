@@ -20,6 +20,11 @@ The probes make the model class's identifiability story operational:
   maximizes the likelihood with a restarted simplex.  Both apply the
   unit-mean normalization inside the parametrization, so the confounded
   scale direction is quotiented out.
+
+Recovery counts evaluations: one evaluation is one residual vector, from an
+adaptive F grid or from F on a frozen rule.  A Jacobian spends one per
+column.  It runs the adaptive pass once at its point and freezes that
+pass's nodes, and that rule-building pass is part of those columns.
 """
 
 from __future__ import annotations
@@ -411,6 +416,13 @@ def _restarted_simplex(objective, theta0, f0, budget, seed):
 
 @dataclass(frozen=True)
 class RecoveryResult:
+    """A recovery's best point.
+
+    ``evaluations`` counts residual vectors, each an adaptive F grid or F
+    on a frozen rule.  A Jacobian spends one per column, the adaptive pass
+    that builds its rule included.
+    """
+
     model: md.ModelSpec
     distance: float
     objective: float
@@ -424,12 +436,77 @@ def target_tensor(m, grid):
 
 
 class _BudgetExhausted(Exception):
-    """The residual closure has spent the recovery's evaluation budget."""
+    """The recovery has spent its evaluation budget."""
 
 
 # Residual returned at a point where the model cannot be built or the grid
 # is not finite; F lies in [0, 1], so every feasible residual is below 1.
 _INFEASIBLE_RESIDUAL = 1e25
+
+# scipy's forward-difference step, relative to max(1, |theta_i|)
+_JACOBIAN_STEP = math.sqrt(np.finfo(float).eps)
+
+
+class _Residuals:
+    """The residuals F(theta) - target of a recovery and their Jacobian,
+    counted against the budget as ``recover_parameters`` describes.
+
+    Every residual vector goes through ``model.joint_sub_distribution_grid``
+    and is a candidate for the best point, Jacobian columns included.  A
+    Jacobian asked for again at the last Jacobian's theta is returned again,
+    and neither costs nor counts.
+    """
+
+    def __init__(self, par, grid, target, budget):
+        self.par, self.grid, self.budget = par, grid, budget
+        self.target = target.ravel()
+        self.evaluations = 0
+        self.best_theta = self.best_r = None
+        self._last_jacobian = (None, None)
+
+    def _at(self, theta, evaluate):
+        """evaluate(model, t1_points, t2_points) for the model at theta, or
+        None where the model cannot be built or the evaluation fails."""
+        try:
+            # a long step can overflow exp() of a log-atom
+            with np.errstate(over="raise"):
+                model = self.par.unpack(theta)
+            return evaluate(model, self.grid.t1_points, self.grid.t2_points)
+        except (ValueError, FloatingPointError, OverflowError):
+            return None
+
+    def _residual(self, fit):
+        if fit is None or not np.all(np.isfinite(fit)):
+            return np.full(self.target.size, _INFEASIBLE_RESIDUAL)
+        return fit.ravel() - self.target
+
+    def __call__(self, theta, rule=None):
+        if self.evaluations >= self.budget:
+            raise _BudgetExhausted
+        self.evaluations += 1
+        r = self._residual(self._at(
+            theta, lambda *args: md.joint_sub_distribution_grid(*args, rule)))
+        if self.best_r is None or r @ r < self.best_r @ self.best_r:
+            self.best_theta, self.best_r = np.array(theta, dtype=float), r
+        return r
+
+    def jacobian(self, theta):
+        theta = np.asarray(theta, dtype=float)
+        key = theta.tobytes()
+        if key == self._last_jacobian[0]:
+            return self._last_jacobian[1]
+        built = self._at(theta, md._frozen_rule)
+        rule, fit = built if built is not None else (None, None)
+        base = self._residual(fit)
+        steps = (_JACOBIAN_STEP * np.where(theta >= 0.0, 1.0, -1.0)
+                 * np.maximum(1.0, np.abs(theta)))
+        jac = np.empty((base.size, theta.size))
+        for i in range(theta.size):
+            x = theta.copy()
+            x[i] += steps[i]
+            jac[:, i] = (self(x, rule) - base) / (x[i] - theta[i])
+        self._last_jacobian = (key, jac)
+        return jac
 
 
 def recover_parameters(target, grid, init, budget=20000, seed=0,
@@ -438,13 +515,17 @@ def recover_parameters(target, grid, init, budget=20000, seed=0,
 
     Least squares on the residuals F(theta) - target over hazard parameters
     and frailty atoms/weights (all free in log scale), solved by
-    Levenberg-Marquardt (MINPACK through ``scipy.optimize.least_squares``)
-    with a forward-difference Jacobian.  ``target`` is the tensor produced by
-    :func:`target_tensor`; ``init`` fixes families, structure, and atom count
-    and supplies the starting point.  ``budget`` caps the F-grid evaluations,
-    Jacobian columns included; a run the cap cuts returns the best point
-    evaluated with ``converged=False``.  The solver is deterministic and
-    ignores ``seed``.
+    Levenberg-Marquardt (MINPACK through ``scipy.optimize.least_squares``).
+    ``target`` is the tensor produced by :func:`target_tensor`; ``init``
+    fixes families, structure, and atom count and supplies the starting
+    point.  The solver is deterministic and ignores ``seed``.
+
+    ``budget`` caps the evaluations.  One evaluation is one residual vector:
+    an adaptive F grid, or F on a frozen rule.  A Jacobian spends one per
+    column: at its point it runs the adaptive pass once, freezes that pass's
+    nodes, and takes forward differences of F on them, the rule-building
+    pass included in those columns.  A run the cap cuts returns the best
+    point evaluated with ``converged=False``.
     """
     target = np.asarray(target, dtype=float)
     par = _Parametrization(init, enforce_unit_mean)
@@ -459,32 +540,8 @@ def recover_parameters(target, grid, init, budget=20000, seed=0,
         raise ValueError(
             f"the grid gives {target.size} residuals for {par.size} "
             "parameters; recovery needs at least as many residuals")
-    if budget < 1:
-        raise ValueError("budget must be at least 1")
-    evals = 0
-    best_theta, best_r = None, None
-
-    def residuals(theta):
-        nonlocal evals, best_theta, best_r
-        if evals >= budget:
-            raise _BudgetExhausted
-        evals += 1
-        try:
-            # a long step can overflow exp() of a log-atom
-            with np.errstate(over="raise"):
-                model = par.unpack(theta)
-            fit = md.joint_sub_distribution_grid(
-                model, grid.t1_points, grid.t2_points)
-        except (ValueError, FloatingPointError, OverflowError):
-            fit = None
-        if fit is None or not np.all(np.isfinite(fit)):
-            r = np.full(target.size, _INFEASIBLE_RESIDUAL)
-        else:
-            r = (fit - target).ravel()
-        if best_r is None or r @ r < best_r @ best_r:
-            best_theta, best_r = np.array(theta, dtype=float), r
-        return r
-
+    budget = md._check_count(budget, "budget")
+    residuals = _Residuals(par, grid, target, budget)
     theta0 = par.pack(init)
     r0 = residuals(theta0)
     converged = bool(r0 @ r0 <= 1e-24)
@@ -493,16 +550,17 @@ def recover_parameters(target, grid, init, budget=20000, seed=0,
             # least_squares evaluates the start again before MINPACK runs
             res = least_squares(
                 lambda th: r0 if np.array_equal(th, theta0) else residuals(th),
-                theta0, method="lm", xtol=1e-14, ftol=1e-15, gtol=1e-15,
-                max_nfev=budget)
+                theta0, jac=residuals.jacobian, method="lm", xtol=1e-14,
+                ftol=1e-15, gtol=1e-15, max_nfev=budget)
             converged = res.status > 0
         except _BudgetExhausted:
             pass
+    best_r = residuals.best_r
     return RecoveryResult(
-        model=par.unpack(best_theta),
+        model=par.unpack(residuals.best_theta),
         distance=float(np.max(np.abs(best_r))),
         objective=float(best_r @ best_r),
-        evaluations=int(evals),
+        evaluations=int(residuals.evaluations),
         converged=bool(converged),
     )
 
@@ -573,8 +631,7 @@ def fit_mle(dataset, structure, num_atoms, init, budget=20000, seed=0):
         raise ValueError("init structure does not match requested structure")
     if init.frailty.num_atoms != num_atoms:
         raise ValueError("init atom count does not match num_atoms")
-    if budget < 1:
-        raise ValueError("budget must be at least 1")
+    budget = md._check_count(budget, "budget")
     times, causes, observed = _dataset_arrays(dataset, structure)
     n = times[1].size
     par = _Parametrization(init, enforce_unit_mean=True)

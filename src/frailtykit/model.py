@@ -15,12 +15,19 @@ the integrable singularity that gamma < 1 hazards put at the origin.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
 from . import frailty as fr
-from ._quad import integrate, substitute_power
+from ._quad import (
+    WEIGHTS_K,
+    adaptive_panels,
+    integrate,
+    panel_nodes,
+    power_nodes,
+    substitute_power,
+)
 # _hazard_array is unused here but looked up on this module by bench/ tests
 from .hazards import _hazard_array  # noqa: F401
 from .hazards import (
@@ -58,6 +65,15 @@ __all__ = [
 ]
 
 
+def _check_count(n, name):
+    """n as an int; ValueError unless it is an integer (not bool) >= 1."""
+    if isinstance(n, (bool, np.bool_)) or not isinstance(n, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {n!r}")
+    if n < 1:
+        raise ValueError(f"{name} must be at least 1")
+    return int(n)
+
+
 @dataclass(frozen=True)
 class QuadratureConfig:
     rel_tol: float = 1e-9
@@ -65,10 +81,9 @@ class QuadratureConfig:
     max_subdivisions: int = 200
 
     def __post_init__(self):
-        if self.rel_tol <= 0.0 or self.abs_tol <= 0.0:
-            raise ValueError("tolerances must be positive")
-        if self.max_subdivisions < 1:
-            raise ValueError("max_subdivisions must be at least 1")
+        if not (0.0 < self.rel_tol < np.inf and 0.0 < self.abs_tol < np.inf):
+            raise ValueError("tolerances must be positive and finite")
+        _check_count(self.max_subdivisions, "max_subdivisions")
 
 
 DEFAULT_QUADRATURE = QuadratureConfig()
@@ -215,26 +230,10 @@ def _segment_points(specs, t_points, abs_tol):
     return np.unique(np.concatenate([np.asarray(t_points, float), extras]))
 
 
-def _cause_curves(specs, eps, t_points, q):
-    """Cumulative conditional sub-distributions, vectorized over atoms.
-
-    specs: the L hazard specs of one individual; eps: (W, L) multipliers.
-    Returns a (W, L, len(t_points)) array of
-    int_0^{t} h_j(u) eps_j exp(-sum_j' eps_j' H_j'(u)) du.
-
-    All segments between breakpoints are integrated in one batched call,
-    under u = v**(1/gamma_min) when gamma_min < 1; a cumulative sum over
-    the segments gives the table.
-    """
-    ts = np.asarray(t_points, dtype=float)
-    if ts.ndim != 1 or ts.size == 0:
-        raise ValueError("need a one-dimensional nonempty time grid")
-    _check_times(ts, positive=True)
-    if np.any(np.diff(ts) <= 0.0):
-        raise ValueError("time grid must be strictly increasing")
-    eps = np.asarray(eps, dtype=float)
-    n_l = len(specs)
-    n_w = eps.shape[0]
+def _integrand(specs, eps):
+    """The integrand of a conditional table: u (n,) -> (n, L * W) values
+    h_j(u) eps_wj exp(-sum_j' eps_wj' H_j'(u)), column j * W + w."""
+    n_l, n_w = len(specs), eps.shape[0]
 
     def f(u):
         hs, cums = map(np.stack, _rates_and_loads(specs, u))
@@ -246,6 +245,22 @@ def _cause_curves(specs, eps, t_points, q):
         vals = np.where(damp[None, :, :] == 0.0, 0.0, vals)
         return vals.reshape(n_l * n_w, -1).T
 
+    return f
+
+
+def _table_segments(specs, t_points, q):
+    """The checked time grid of a table and the segments it integrates.
+
+    Returns (ts, points, power, starts, ends, wide): the breakpoints, the
+    substitution power u = v**power (1/gamma_min when gamma_min < 1, else 1),
+    the transformed segment ends, and the mask of segments of nonzero width.
+    """
+    ts = np.asarray(t_points, dtype=float)
+    if ts.ndim != 1 or ts.size == 0:
+        raise ValueError("need a one-dimensional nonempty time grid")
+    _check_times(ts, positive=True)
+    if np.any(np.diff(ts) <= 0.0):
+        raise ValueError("time grid must be strictly increasing")
     gamma_min = min(sp.gamma for sp in specs)
     power = 1.0 / gamma_min if gamma_min < 1.0 else 1.0
     points = _segment_points(specs, ts, q.abs_tol)
@@ -253,13 +268,83 @@ def _cause_curves(specs, eps, t_points, q):
     starts = np.concatenate([[0.0], ends[:-1]])
     # distinct breakpoints can round to one transformed point; such a
     # segment has zero width and contributes nothing
-    wide = ends > starts
-    vals = np.zeros((points.size, n_l * n_w))
-    vals[wide], _ = integrate(substitute_power(f, power), starts[wide],
-                              ends[wide], q.rel_tol, q.abs_tol,
+    return ts, points, power, starts, ends, ends > starts
+
+
+def _as_table(flat, n_l):
+    """(n, L * W) columns of ``_integrand`` as a (W, L, n) table."""
+    return flat.reshape(flat.shape[0], n_l, -1).transpose(2, 1, 0)
+
+
+def _cause_curves(specs, eps, t_points, q):
+    """Cumulative conditional sub-distributions, vectorized over atoms.
+
+    specs: the L hazard specs of one individual; eps: (W, L) multipliers.
+    Returns a (W, L, len(t_points)) array of
+    int_0^{t} h_j(u) eps_j exp(-sum_j' eps_j' H_j'(u)) du.
+
+    All segments between breakpoints are integrated in one batched call,
+    under u = v**(1/gamma_min) when gamma_min < 1; a cumulative sum over
+    the segments gives the table.
+    """
+    eps = np.asarray(eps, dtype=float)
+    ts, points, power, starts, ends, wide = _table_segments(specs, t_points, q)
+    vals = np.zeros((points.size, len(specs) * eps.shape[0]))
+    vals[wide], _ = integrate(substitute_power(_integrand(specs, eps), power),
+                              starts[wide], ends[wide], q.rel_tol, q.abs_tol,
                               q.max_subdivisions)
-    out = np.cumsum(vals, axis=0)[np.searchsorted(points, ts)]
-    return out.reshape(ts.size, n_l, n_w).transpose(2, 1, 0)
+    return _as_table(np.cumsum(vals, axis=0)[np.searchsorted(points, ts)],
+                     len(specs))
+
+
+class _GridRule(NamedTuple):
+    """The final panels of the adaptive passes of an F grid's two tables,
+    frozen.  Per individual: the t-space nodes (N,) and the (n_times, N)
+    weights that sum the integrand on them into the table: GK15 weight
+    times panel half-width times substitution Jacobian at or below a grid
+    time, and 0 above it."""
+
+    nodes: tuple
+    weights: tuple
+
+
+def _frozen_rule(m, t1_points, t2_points, q=None):
+    """Run the adaptive pass of each table of the F grid once at m, freeze
+    its final panels, and return (rule, F of m on that rule).
+
+    On the rule a table is one integrand pass and a weighted sum, with no
+    breakpoint solve and no refinement, and it is a smooth function of the
+    model parameters: the substitution power stays that of m.  At m itself
+    it matches the adaptive table to a few units in the last place.
+    """
+    q = q or DEFAULT_QUADRATURE
+    nodes, weights = [], []
+    for k, t_points in ((1, t1_points), (2, t2_points)):
+        specs, eps = m.hazards_for(k), m.eps_matrix(k)
+        ts, points, power, starts, ends, wide = _table_segments(
+            specs, t_points, q)
+        _, _, (lo, hi, owner) = adaptive_panels(
+            substitute_power(_integrand(specs, eps), power), starts[wide],
+            ends[wide], q.rel_tol, q.abs_tol, q.max_subdivisions)
+        v, half = panel_nodes(lo, hi)
+        u, jac = power_nodes(v, power)
+        below = (np.flatnonzero(wide)[owner]
+                 <= np.searchsorted(points, ts)[:, None])
+        nodes.append(u.reshape(-1))
+        weights.append(np.where(below[:, :, None],
+                                half[:, None] * WEIGHTS_K * jac,
+                                0.0).reshape(ts.size, -1))
+    rule = _GridRule(tuple(nodes), tuple(weights))
+    return rule, _grid_on_rule(m, rule)
+
+
+def _grid_on_rule(m, rule):
+    """F of m on a frozen rule: per individual one integrand pass on the
+    rule's nodes and one weighted sum into the table."""
+    return _mix(m, *(
+        _as_table(w @ _integrand(m.hazards_for(k), m.eps_matrix(k))(u),
+                  m.num_causes(k))
+        for k, u, w in zip((1, 2), rule.nodes, rule.weights)))
 
 
 def sub_distribution_table(m, k, t_points, q=None):
@@ -357,16 +442,27 @@ def joint_sub_distribution(m, j1, j2, t1, t2, q=None):
     return float(joint_sub_distribution_grid(m, [t1], [t2], q)[a, b, 0, 0])
 
 
+def _mix(m, c1, c2):
+    """F from the two conditional tables: the frailty mixture of their
+    atom-by-atom products."""
+    return np.einsum("w,wai,wbl->abil", m.frailty.weights, c1, c2)
+
+
 def joint_sub_distribution_grid(m, t1_points, t2_points, q=None):
     """F_{j1 j2} on a product grid: (L1, L2, n1, n2) tensor.
 
     The per-axis conditional tables are built once and reused for every
-    cause pair and grid point.
+    cause pair and grid point.  In place of a ``QuadratureConfig``, ``q``
+    may be the rule of ``_frozen_rule`` for this grid: the tables are then
+    sums on its fixed nodes.  That is how the Jacobian columns of
+    ``identifiability.recover_parameters`` are evaluated.
     """
+    if isinstance(q, _GridRule):
+        return _grid_on_rule(m, q)
     q = q or DEFAULT_QUADRATURE
     c1 = sub_distribution_table(m, 1, t1_points, q)
     c2 = sub_distribution_table(m, 2, t2_points, q)
-    return np.einsum("w,wai,wbl->abil", m.frailty.weights, c1, c2)
+    return _mix(m, c1, c2)
 
 
 def joint_sub_density_grid(m, t1_points, t2_points):

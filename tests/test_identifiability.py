@@ -39,13 +39,21 @@ from frailtykit import (
 from frailtykit import identifiability as ident
 from frailtykit import model as md
 from frailtykit.identifiability import (
+    _Parametrization,
+    _Residuals,
     _dataset_arrays,
     _log_likelihood,
     _sequence_loads,
     target_tensor,
 )
 
-from helpers import ALL_KINDS, perturb_frailty, perturb_model, random_model
+from helpers import (
+    ALL_FAMILIES,
+    ALL_KINDS,
+    perturb_frailty,
+    perturb_model,
+    random_model,
+)
 
 W = lambda g, a: HazardSpec(Family.WEIBULL, g, a)
 E = lambda a: HazardSpec(Family.EXPONENTIAL, 1.0, a)
@@ -322,6 +330,85 @@ def test_recovery_survives_points_where_the_grid_fails(benchmark_pair,
     assert len(calls) <= res.evaluations <= 60
     assert np.isfinite(res.objective)
     assert res.objective < start_objective
+
+
+@pytest.mark.parametrize("budget", [True, 2.5, 30.0, np.nan, "5"])
+def test_recovery_and_mle_reject_a_budget_that_is_not_an_integer(
+        benchmark_pair, budget):
+    _, target = benchmark_pair
+    grid = default_probe_grid(target)
+    with pytest.raises(ValueError, match="budget"):
+        recover_parameters(target_tensor(target, grid), grid, target,
+                           budget=budget)
+    m = shared([1.0], [1.0], [E(0.7), E(0.3)])
+    data = simulate_dataset(m, SimConfig(n_pairs=20, seed=3))
+    with pytest.raises(ValueError, match="budget"):
+        fit_mle(data, m.structure, 1, m, budget=budget)
+    res = recover_parameters(target_tensor(target, grid), grid, target,
+                             budget=np.int64(1))
+    assert res.evaluations == 1
+
+
+def _grid_jacobian_pair(m, enforce_unit_mean):
+    """The frozen-rule Jacobian of vec F at m's own parameters, and central
+    differences (h = 1e-4) of the tightly converged adaptive F grid."""
+    grid = default_probe_grid(m)
+    par = _Parametrization(m, enforce_unit_mean)
+    theta = par.pack(m)
+    zero = np.zeros(target_tensor(m, grid).shape)
+    jac = _Residuals(par, grid, zero, budget=10 ** 6).jacobian(theta)
+    tight = QuadratureConfig(rel_tol=1e-13, abs_tol=1e-16)
+    ref = np.empty_like(jac)
+    for i in range(theta.size):
+        step = np.zeros(theta.size)
+        step[i] = 1e-4
+        ends = [md.joint_sub_distribution_grid(par.unpack(theta + s),
+                                               grid.t1_points,
+                                               grid.t2_points, tight)
+                for s in (step, -step)]
+        ref[:, i] = (ends[0] - ends[1]).ravel() / 2e-4
+    return jac, ref
+
+
+def test_frozen_rule_jacobian_matches_central_differences():
+    rng = np.random.default_rng(17)
+    families = set()
+    for i in range(8):
+        m = random_model(ALL_KINDS[i % 4], rng, gamma_range=(0.5, 3.0))
+        families |= {spec.family for spec in m.hazards.values()}
+        jac, ref = _grid_jacobian_pair(m, enforce_unit_mean=i < 4)
+        assert np.max(np.abs(jac - ref)) <= 1e-6 * np.max(np.abs(ref))
+    assert families == set(ALL_FAMILIES)
+
+
+def test_jacobian_builds_one_rule_and_is_free_when_repeated(benchmark_pair,
+                                                            monkeypatch):
+    _, target = benchmark_pair
+    grid = default_probe_grid(target)
+    start = _recovery_start(2)
+    par = _Parametrization(start)
+    residuals = _Residuals(par, grid, target_tensor(target, grid), 100)
+    theta = par.pack(start)
+    calls = []
+
+    def counting(name):
+        real = getattr(md, name)
+
+        def wrapped(*args):
+            calls.append(name)
+            return real(*args)
+        return wrapped
+
+    for name in ("_segment_points", "sub_distribution_table"):
+        monkeypatch.setattr(md, name, counting(name))
+    jac = residuals.jacobian(theta)
+    # one breakpoint solve per table for the rule, no adaptive column
+    assert calls == ["_segment_points"] * 2
+    assert residuals.evaluations == theta.size
+    assert residuals.jacobian(theta.copy()) is jac
+    assert residuals.evaluations == theta.size
+    residuals.jacobian(theta + 1e-3)
+    assert residuals.evaluations == 2 * theta.size
 
 
 def test_recovery_rejects_more_parameters_than_residuals():

@@ -41,13 +41,17 @@ from frailtykit import (
     time_horizon,
     tilted_mean,
 )
+from frailtykit.identifiability import default_probe_grid
 from frailtykit.model import (
+    DEFAULT_QUADRATURE,
+    _frozen_rule,
     _segment_points,
+    _table_segments,
     _total_level_time,
     sub_distribution_table,
 )
 
-from helpers import ALL_KINDS, random_model
+from helpers import ALL_FAMILIES, ALL_KINDS, random_model
 
 W = lambda g, a: HazardSpec(Family.WEIBULL, g, a)
 E = lambda a: HazardSpec(Family.EXPONENTIAL, 1.0, a)
@@ -335,6 +339,55 @@ def test_quadrature_config_is_honored(shared_two_atom):
     assert abs(loose - tight) < 1e-8
     with pytest.raises(ValueError):
         QuadratureConfig(rel_tol=-1.0)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("rel_tol", np.nan), ("rel_tol", np.inf), ("abs_tol", np.inf),
+    ("abs_tol", -np.inf), ("abs_tol", 0.0),
+    ("max_subdivisions", 2.5), ("max_subdivisions", 200.0),
+    ("max_subdivisions", True), ("max_subdivisions", 0),
+])
+def test_quadrature_config_rejects_bad_values(field, value):
+    with pytest.raises(ValueError, match=field.split("_")[-1]):
+        QuadratureConfig(**{field: value})
+    assert QuadratureConfig(max_subdivisions=np.int64(7)).max_subdivisions == 7
+
+
+def _frozen_rule_gap(m, t1s, t2s):
+    """max |F on the rule of m - adaptive F| at m itself, in units of
+    2**-52."""
+    _, on_rule = _frozen_rule(m, t1s, t2s)
+    adaptive = joint_sub_distribution_grid(m, t1s, t2s)
+    return float(np.max(np.abs(on_rule - adaptive))) / 2.0 ** -52
+
+
+def test_frozen_rule_reproduces_the_adaptive_grid_at_its_own_model():
+    rng = np.random.default_rng(29)
+    families = set()
+    for i in range(16):
+        m = random_model(ALL_KINDS[i % 4], rng, gamma_range=(0.5, 3.0))
+        families |= {spec.family for spec in m.hazards.values()}
+        grid = default_probe_grid(m)
+        assert _frozen_rule_gap(m, grid.t1_points, grid.t2_points) <= 4.0
+        # joint_sub_distribution_grid takes the rule in place of q
+        rule, on_rule = _frozen_rule(m, grid.t1_points, grid.t2_points)
+        assert np.array_equal(
+            joint_sub_distribution_grid(m, grid.t1_points, grid.t2_points,
+                                        rule), on_rule)
+    assert families == set(ALL_FAMILIES)
+
+
+def test_frozen_rule_keeps_the_power_and_skips_zero_width_segments():
+    st = FrailtyStructure(FrailtyKind.SHARED, 2, 2)
+    g = DiscreteFrailty(st, [[0.6], [1.4]], [0.5, 0.5])
+    specs = [HazardSpec(Family.WEIBULL, 0.5, 1.0),
+             HazardSpec(Family.GAMMA, 0.8, 0.7)]
+    m = ModelSpec.from_lists(st, specs, specs[::-1], g)
+    # 0.7 and the next double share one transformed point under u = v**2
+    t1s = np.array([0.3, 0.7, np.nextafter(0.7, 1.0), 1.5])
+    _, _, power, _, _, wide = _table_segments(specs, t1s, DEFAULT_QUADRATURE)
+    assert power == 2.0 and not wide.all()
+    assert _frozen_rule_gap(m, t1s, [0.2, 0.9, 2.0]) <= 4.0
 
 
 def test_model_dict_round_trip(shared_two_atom):
