@@ -22,6 +22,7 @@ import numpy as np
 from . import frailty as fr
 from ._quad import (
     WEIGHTS_K,
+    _segment_sums,
     adaptive_panels,
     integrate,
     panel_nodes,
@@ -293,32 +294,50 @@ def _cause_curves(specs, eps, t_points, q):
     vals[wide], _ = integrate(substitute_power(_integrand(specs, eps), power),
                               starts[wide], ends[wide], q.rel_tol, q.abs_tol,
                               q.max_subdivisions)
-    return _as_table(np.cumsum(vals, axis=0)[np.searchsorted(points, ts)],
-                     len(specs))
+    return _table_from_segments(vals, np.searchsorted(points, ts),
+                                len(specs))
+
+
+def _table_from_segments(seg_vals, at, n_l):
+    """The (W, L, n) table from the (S, L * W) integrals over the segments
+    between breakpoints: their cumulative sum up to breakpoint ``at[i]`` is
+    the table at the i-th grid time."""
+    return _as_table(np.cumsum(seg_vals, axis=0)[at], n_l)
+
+
+class _TableRule(NamedTuple):
+    """The P final panels of one table's adaptive pass, frozen: the t-space
+    nodes (15 * P,), their (P, 15) weights (GK15 weight times panel
+    half-width times substitution Jacobian), the segment between
+    breakpoints that holds each panel, the number of segments, and the
+    breakpoint of each grid time."""
+
+    nodes: np.ndarray
+    weights: np.ndarray
+    segment: np.ndarray
+    n_segments: int
+    at: np.ndarray
 
 
 class _GridRule(NamedTuple):
-    """The final panels of the adaptive passes of an F grid's two tables,
-    frozen.  Per individual: the t-space nodes (N,) and the (n_times, N)
-    weights that sum the integrand on them into the table: GK15 weight
-    times panel half-width times substitution Jacobian at or below a grid
-    time, and 0 above it."""
+    """The frozen rules of an F grid's two tables."""
 
-    nodes: tuple
-    weights: tuple
+    tables: tuple
 
 
-def _frozen_rule(m, t1_points, t2_points, q=None):
+def _frozen_rule(m, t1_points, t2_points):
     """Run the adaptive pass of each table of the F grid once at m, freeze
     its final panels, and return (rule, F of m on that rule).
 
-    On the rule a table is one integrand pass and a weighted sum, with no
-    breakpoint solve and no refinement, and it is a smooth function of the
-    model parameters: the substitution power stays that of m.  At m itself
-    it matches the adaptive table to a few units in the last place.
+    On the rule a table is one integrand pass and a sum per segment, with
+    no breakpoint solve and no refinement, and it is a smooth function of
+    the model parameters: the substitution power stays that of m.  The
+    pass uses ``DEFAULT_QUADRATURE``, as the adaptive F grid of
+    ``joint_sub_distribution_grid`` does, so at m itself the rule matches
+    that grid to a few units in the last place.
     """
-    q = q or DEFAULT_QUADRATURE
-    nodes, weights = [], []
+    q = DEFAULT_QUADRATURE
+    tables = []
     for k, t_points in ((1, t1_points), (2, t2_points)):
         specs, eps = m.hazards_for(k), m.eps_matrix(k)
         ts, points, power, starts, ends, wide = _table_segments(
@@ -328,23 +347,27 @@ def _frozen_rule(m, t1_points, t2_points, q=None):
             ends[wide], q.rel_tol, q.abs_tol, q.max_subdivisions)
         v, half = panel_nodes(lo, hi)
         u, jac = power_nodes(v, power)
-        below = (np.flatnonzero(wide)[owner]
-                 <= np.searchsorted(points, ts)[:, None])
-        nodes.append(u.reshape(-1))
-        weights.append(np.where(below[:, :, None],
-                                half[:, None] * WEIGHTS_K * jac,
-                                0.0).reshape(ts.size, -1))
-    rule = _GridRule(tuple(nodes), tuple(weights))
+        tables.append(_TableRule(
+            u.reshape(-1), half[:, None] * WEIGHTS_K * jac,
+            np.flatnonzero(wide)[owner], points.size,
+            np.searchsorted(points, ts)))
+    rule = _GridRule(tuple(tables))
     return rule, _grid_on_rule(m, rule)
 
 
+def _table_on_rule(specs, eps, r):
+    """A conditional table on a frozen table rule: one integrand pass on
+    its nodes, the weighted sum per panel, and the sum per segment."""
+    vals = _integrand(specs, eps)(r.nodes).reshape(r.weights.shape + (-1,))
+    panels = np.einsum("pk,pkc->pc", r.weights, vals)
+    return _table_from_segments(
+        _segment_sums(panels, r.segment, r.n_segments), r.at, len(specs))
+
+
 def _grid_on_rule(m, rule):
-    """F of m on a frozen rule: per individual one integrand pass on the
-    rule's nodes and one weighted sum into the table."""
-    return _mix(m, *(
-        _as_table(w @ _integrand(m.hazards_for(k), m.eps_matrix(k))(u),
-                  m.num_causes(k))
-        for k, u, w in zip((1, 2), rule.nodes, rule.weights)))
+    """F of m on a frozen rule."""
+    return _mix(m, *(_table_on_rule(m.hazards_for(k), m.eps_matrix(k), r)
+                     for k, r in zip((1, 2), rule.tables)))
 
 
 def sub_distribution_table(m, k, t_points, q=None):
