@@ -286,10 +286,11 @@ def build_parser():
     p.add_argument("--target", required=True)
     p.add_argument("--init", required=True)
     p.add_argument("--budget", type=int, default=20000,
-                   help="cap on evaluations: one per residual vector, "
-                        "adaptive or on a frozen rule; a Jacobian spends "
-                        "one per column, the adaptive pass that builds its "
-                        "rule included")
+                   help="cap on evaluations: one per residual vector (an "
+                        "adaptive F grid); an exact Jacobian costs one per "
+                        "parameter and is not started when fewer remain; "
+                        "the run also ends at the first point with "
+                        "sum of squared residuals <= 1e-24")
     p.add_argument("--seed", type=int, default=0,
                    help="accepted for compatibility; recovery is "
                         "deterministic and ignores it")

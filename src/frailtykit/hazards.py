@@ -148,6 +148,51 @@ def _hazard_and_cumulative(spec, t):
     return h, -log_q
 
 
+# Step in log gamma of the gamma family's central difference: about
+# (ulp / third derivative)**(1/3) for the log-ratios it differences.
+_LOG_SHAPE_STEP = 2e-5
+
+
+def _log_ratio(num, den):
+    """log(num / den), and 0 where either has underflowed to 0."""
+    both = (num > 0.0) & (den > 0.0)
+    return np.log(np.where(both, num, 1.0) / np.where(both, den, 1.0))
+
+
+def _hazard_tangents(spec, t):
+    """(h, H, dh, dH) on a time array of positive times: the values of
+    ``_hazard_and_cumulative`` and their derivatives in the packed
+    parameters of the spec (log gamma unless the family is exponential,
+    then log alpha), two (P, n) arrays.
+
+    Exponential, Weibull and log-logistic hazards use closed forms; the
+    log-logistic ones go through sigma(z) = 1 - exp(-H) and exp(-H), with
+    z = log alpha + gamma log t, so nothing overflows.  The gamma family
+    takes dH/dlog alpha = t h and dh/dlog alpha = h (gamma - alpha t + t h),
+    and its log gamma slot by a central difference of log h and log H, so
+    the step error stays relative where x**gamma spans hundreds of decades.
+    """
+    h, cum = _hazard_and_cumulative(spec, t)
+    g, a = spec.gamma, spec.alpha
+    fam = spec.family
+    if fam is Family.EXPONENTIAL:
+        return h, cum, h[None], cum[None]
+    if fam is Family.GAMMA:
+        lo, hi = (_hazard_and_cumulative(HazardSpec(fam, g * np.exp(s), a), t)
+                  for s in (-_LOG_SHAPE_STEP, _LOG_SHAPE_STEP))
+        scale = 0.5 / _LOG_SHAPE_STEP
+        d_h = (h * _log_ratio(hi[0], lo[0]) * scale, h * (g - a * t + t * h))
+        d_cum = (cum * _log_ratio(hi[1], lo[1]) * scale, t * h)
+        return h, cum, np.stack(d_h), np.stack(d_cum)
+    glt = g * np.log(t)
+    if fam is Family.WEIBULL:
+        return (h, cum, np.stack([h * (1.0 + glt), h]),
+                np.stack([glt * cum, cum]))
+    sig, rest = -np.expm1(-cum), np.exp(-cum)
+    return (h, cum, np.stack([h * (1.0 + glt * rest), h * rest]),
+            np.stack([glt * sig, sig]))
+
+
 def _rates_and_loads(specs, t):
     """Per-cause lists [h_1(t), ..., h_L(t)] and [H_1(t), ..., H_L(t)]."""
     rates, loads = [], []
@@ -276,7 +321,9 @@ def inverse_cumulative_hazard(spec, v):
     g, a = spec.gamma, spec.alpha
     fam = spec.family
     if fam in (Family.WEIBULL, Family.EXPONENTIAL):
-        out = (arr / a) ** (1.0 / g)
+        # inf where the root exceeds the double range, as for log-logistic
+        with np.errstate(over="ignore"):
+            out = (arr / a) ** (1.0 / g)
     elif fam is Family.LOGLOGISTIC:
         # H = log(1 + alpha t**gamma); for large v, expm1 overflows and
         # log(e^v - 1) = v to double precision.  The exact root can exceed
@@ -326,13 +373,13 @@ class FamilyValidation:
 def _divergence_horizon(spec):
     """A time at which H should comfortably exceed 50, scaled per family."""
     g, a = spec.gamma, spec.alpha
-    if spec.family in (Family.WEIBULL, Family.EXPONENTIAL):
-        return (60.0 / a) ** (1.0 / g)
-    if spec.family is Family.LOGLOGISTIC:
-        # inf for extreme gamma/alpha: the honest answer, caught downstream
-        with np.errstate(over="ignore"):
-            return float(np.exp((60.0 - np.log(a)) / g))
-    return (70.0 + 12.0 * g) / a
+    if spec.family is Family.GAMMA:
+        return (70.0 + 12.0 * g) / a
+    # alpha t**gamma = 60 for the power families, e**60 for log-logistic;
+    # inf for extreme gamma/alpha: the honest answer, caught downstream
+    log_level = 60.0 if spec.family is Family.LOGLOGISTIC else np.log(60.0)
+    with np.errstate(over="ignore"):
+        return float(np.exp((log_level - np.log(a)) / g))
 
 
 def validate_family(spec):

@@ -21,10 +21,12 @@ The probes make the model class's identifiability story operational:
   unit-mean normalization inside the parametrization, so the confounded
   scale direction is quotiented out.
 
-Recovery counts evaluations: one evaluation is one residual vector, from an
-adaptive F grid or from F on a frozen rule.  A Jacobian spends one per
-column.  It runs the adaptive pass once at its point and freezes that
-pass's nodes, and that rule-building pass is part of those columns.
+Recovery counts evaluations: one evaluation is one residual vector, an
+adaptive F grid.  A Jacobian runs the adaptive pass once at its point,
+freezes that pass's nodes, and differentiates F on them exactly
+(``model._grid_tangents``, chained through the parametrization); it costs
+one evaluation per parameter.  The first residual vector with
+r @ r <= 1e-24 ends a recovery.
 """
 
 from __future__ import annotations
@@ -349,6 +351,36 @@ class _Parametrization:
         return md.ModelSpec(self.structure, hazards, g,
                             require_unit_mean=self.enforce_unit_mean)
 
+    def jacobian(self, m, d_hazards, d_eps, d_weights):
+        """The (R, size) Jacobian in theta at the model m = unpack(theta),
+        from the derivatives of R quantities in m's packed hazard
+        parameters, multipliers and weights (``model._grid_tangents``,
+        flattened to R trailing entries).
+
+        A multiplier eps_matrix(k)[w, c] is atom coordinate
+        coordinate_of(k, c) of atom w.  Under unit mean the atoms are
+        a = r / (p @ r) for the raw atoms r = exp(theta) and weights p, so
+        da[w, d] / dlog r[v, d] = a[v, d] (delta_wv - p_v a[w, d]) and
+        da[w, d] / dp_v = -a[w, d] a[v, d]; the weights are the softmax of
+        the logits (0, theta[-(W - 1):]).
+        """
+        atoms, p = m.frailty.atoms, m.frailty.weights
+        d_atoms = np.zeros(atoms.shape + d_weights.shape[1:])
+        for k, de in zip((1, 2), d_eps):
+            for c in range(de.shape[1]):
+                d_atoms[:, self.structure.coordinate_of(k, c + 1)] += de[:, c]
+        d_atoms = d_atoms.reshape(atoms.shape + (-1,))
+        d_p = d_weights.reshape(p.size, -1)
+        if self.enforce_unit_mean:
+            spread = np.einsum("wd,wdr->dr", atoms, d_atoms)
+            d_atoms = d_atoms - p[:, None, None] * spread
+            d_p = d_p - atoms @ spread
+        d_logits = p[1:, None] * (d_p[1:] - p @ d_p)
+        return np.concatenate([d_hazards.reshape(d_hazards.shape[0], -1),
+                               (atoms[:, :, None] * d_atoms).reshape(
+                                   atoms.size, -1),
+                               d_logits]).T
+
 
 def _axis_simplex(x0, step):
     n = x0.size
@@ -418,9 +450,10 @@ def _restarted_simplex(objective, theta0, f0, budget, seed):
 class RecoveryResult:
     """A recovery's best point.
 
-    ``evaluations`` counts residual vectors, each an adaptive F grid or F
-    on a frozen rule.  A Jacobian spends one per column, the adaptive pass
-    that builds its rule included.
+    ``evaluations`` counts residual vectors, each an adaptive F grid, plus
+    one per parameter for every Jacobian.  ``converged`` is True when a
+    point with ``objective`` <= 1e-24 was reached, or when MINPACK's own
+    tests stopped the run.
     """
 
     model: md.ModelSpec
@@ -435,26 +468,31 @@ def target_tensor(m, grid):
     return md.joint_sub_distribution_grid(m, grid.t1_points, grid.t2_points)
 
 
-class _BudgetExhausted(Exception):
-    """The recovery has spent its evaluation budget."""
+class _Stop(Exception):
+    """The recovery ends here: its budget is spent, or a point is solved."""
+
+    def __init__(self, converged):
+        super().__init__()
+        self.converged = converged
 
 
 # Residual returned at a point where the model cannot be built or the grid
 # is not finite; F lies in [0, 1], so every feasible residual is below 1.
 _INFEASIBLE_RESIDUAL = 1e25
 
-# scipy's forward-difference step, relative to max(1, |theta_i|)
-_JACOBIAN_STEP = math.sqrt(np.finfo(float).eps)
+# A residual vector with r @ r at most this solves the recovery.
+_SOLVED = 1e-24
 
 
 class _Residuals:
     """The residuals F(theta) - target of a recovery and their Jacobian,
     counted against the budget as ``recover_parameters`` describes.
 
-    Every residual vector goes through ``model.joint_sub_distribution_grid``
-    and is a candidate for the best point, Jacobian columns included.  A
-    Jacobian asked for again at the last Jacobian's theta is returned again,
-    and neither costs nor counts.
+    Every residual vector is an adaptive F grid and a candidate for the best
+    point; the first one with r @ r <= 1e-24 ends the run, converged.  A
+    Jacobian that does not fit the remaining budget ends it unconverged
+    before it starts.  A Jacobian asked for again at the last Jacobian's
+    theta is returned again, and neither costs nor counts.
     """
 
     def __init__(self, par, grid, target, budget):
@@ -463,6 +501,11 @@ class _Residuals:
         self.evaluations = 0
         self.best_theta = self.best_r = None
         self._last_jacobian = (None, None)
+
+    def _spend(self, n):
+        if self.evaluations + n > self.budget:
+            raise _Stop(converged=False)
+        self.evaluations += n
 
     def _at(self, theta, evaluate):
         """evaluate(model, t1_points, t2_points) for the model at theta, or
@@ -475,19 +518,17 @@ class _Residuals:
         except (ValueError, FloatingPointError, OverflowError):
             return None
 
-    def _residual(self, fit):
+    def __call__(self, theta):
+        self._spend(1)
+        fit = self._at(theta, md.joint_sub_distribution_grid)
         if fit is None or not np.all(np.isfinite(fit)):
-            return np.full(self.target.size, _INFEASIBLE_RESIDUAL)
-        return fit.ravel() - self.target
-
-    def __call__(self, theta, rule=None):
-        if self.evaluations >= self.budget:
-            raise _BudgetExhausted
-        self.evaluations += 1
-        r = self._residual(self._at(
-            theta, lambda *args: md.joint_sub_distribution_grid(*args, rule)))
+            r = np.full(self.target.size, _INFEASIBLE_RESIDUAL)
+        else:
+            r = fit.ravel() - self.target
         if self.best_r is None or r @ r < self.best_r @ self.best_r:
             self.best_theta, self.best_r = np.array(theta, dtype=float), r
+        if r @ r <= _SOLVED:
+            raise _Stop(converged=True)
         return r
 
     def jacobian(self, theta):
@@ -495,16 +536,11 @@ class _Residuals:
         key = theta.tobytes()
         if key == self._last_jacobian[0]:
             return self._last_jacobian[1]
-        built = self._at(theta, md._frozen_rule)
-        rule, fit = built if built is not None else (None, None)
-        base = self._residual(fit)
-        steps = (_JACOBIAN_STEP * np.where(theta >= 0.0, 1.0, -1.0)
-                 * np.maximum(1.0, np.abs(theta)))
-        jac = np.empty((base.size, theta.size))
-        for i in range(theta.size):
-            x = theta.copy()
-            x[i] += steps[i]
-            jac[:, i] = (self(x, rule) - base) / (x[i] - theta[i])
+        self._spend(theta.size)
+        jac = self._at(theta, lambda m, *points: self.par.jacobian(
+            m, *md._grid_tangents(m, md._grid_rule(m, *points))))
+        if jac is None or not np.all(np.isfinite(jac)):
+            raise _Stop(converged=False)
         self._last_jacobian = (key, jac)
         return jac
 
@@ -520,12 +556,16 @@ def recover_parameters(target, grid, init, budget=20000, seed=0,
     fixes families, structure, and atom count and supplies the starting
     point.  The solver is deterministic and ignores ``seed``.
 
-    ``budget`` caps the evaluations.  One evaluation is one residual vector:
-    an adaptive F grid, or F on a frozen rule.  A Jacobian spends one per
-    column: at its point it runs the adaptive pass once, freezes that pass's
-    nodes, and takes forward differences of F on them, the rule-building
-    pass included in those columns.  A run the cap cuts returns the best
-    point evaluated with ``converged=False``.
+    The run ends at the first evaluated point whose residuals have
+    r @ r <= 1e-24 (so max |F - target| <= 1e-12), with ``converged=True``;
+    otherwise where MINPACK's own tests stop it.
+
+    ``budget`` caps the evaluations.  One evaluation is one residual vector,
+    an adaptive F grid.  A Jacobian costs one evaluation per parameter and
+    is not started when fewer remain: at its point it runs the adaptive pass
+    once, freezes that pass's nodes, and differentiates F on them exactly.
+    A run the cap cuts returns the best point evaluated with
+    ``converged=False``.
     """
     target = np.asarray(target, dtype=float)
     par = _Parametrization(init, enforce_unit_mean)
@@ -543,18 +583,16 @@ def recover_parameters(target, grid, init, budget=20000, seed=0,
     budget = md._check_count(budget, "budget")
     residuals = _Residuals(par, grid, target, budget)
     theta0 = par.pack(init)
-    r0 = residuals(theta0)
-    converged = bool(r0 @ r0 <= 1e-24)
-    if not converged:
-        try:
-            # least_squares evaluates the start again before MINPACK runs
-            res = least_squares(
-                lambda th: r0 if np.array_equal(th, theta0) else residuals(th),
-                theta0, jac=residuals.jacobian, method="lm", xtol=1e-14,
-                ftol=1e-15, gtol=1e-15, max_nfev=budget)
-            converged = res.status > 0
-        except _BudgetExhausted:
-            pass
+    try:
+        r0 = residuals(theta0)
+        # least_squares evaluates the start again before MINPACK runs
+        res = least_squares(
+            lambda th: r0 if np.array_equal(th, theta0) else residuals(th),
+            theta0, jac=residuals.jacobian, method="lm", xtol=1e-14,
+            ftol=1e-15, gtol=1e-15, max_nfev=budget)
+        converged = res.status > 0
+    except _Stop as stop:
+        converged = stop.converged
     best_r = residuals.best_r
     return RecoveryResult(
         model=par.unpack(residuals.best_theta),

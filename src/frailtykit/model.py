@@ -34,6 +34,7 @@ from .hazards import _hazard_array  # noqa: F401
 from .hazards import (
     HazardSpec,
     _as_time_array,
+    _hazard_tangents,
     _rates_and_loads,
     _solve_time,
     _solve_total_load,
@@ -325,9 +326,9 @@ class _GridRule(NamedTuple):
     tables: tuple
 
 
-def _frozen_rule(m, t1_points, t2_points):
-    """Run the adaptive pass of each table of the F grid once at m, freeze
-    its final panels, and return (rule, F of m on that rule).
+def _grid_rule(m, t1_points, t2_points):
+    """Run the adaptive pass of each table of the F grid once at m and
+    freeze its final panels into a rule.
 
     On the rule a table is one integrand pass and a sum per segment, with
     no breakpoint solve and no refinement, and it is a smooth function of
@@ -351,7 +352,12 @@ def _frozen_rule(m, t1_points, t2_points):
             u.reshape(-1), half[:, None] * WEIGHTS_K * jac,
             np.flatnonzero(wide)[owner], points.size,
             np.searchsorted(points, ts)))
-    rule = _GridRule(tuple(tables))
+    return _GridRule(tuple(tables))
+
+
+def _frozen_rule(m, t1_points, t2_points):
+    """The rule of ``_grid_rule`` at m and F of m on it."""
+    rule = _grid_rule(m, t1_points, t2_points)
     return rule, _grid_on_rule(m, rule)
 
 
@@ -368,6 +374,64 @@ def _grid_on_rule(m, rule):
     """F of m on a frozen rule."""
     return _mix(m, *(_table_on_rule(m.hazards_for(k), m.eps_matrix(k), r)
                      for k, r in zip((1, 2), rule.tables)))
+
+
+def _table_tangents(specs, eps, r):
+    """A conditional table on a frozen table rule and its derivatives, from
+    one pass over the rule's nodes.
+
+    Returns (table, d_hazards, d_eps): the (W, L, n) table; its derivatives
+    in the packed parameters of the specs in order (``_hazard_tangents``),
+    (P, W, L, n); and d_eps[c, w], the derivative of atom w's rows in
+    eps[w, c], (L, W, L, n).  Like ``_integrand``, every value is 0 where
+    the exponent has saturated.
+    """
+    parts = [_hazard_tangents(sp, r.nodes) for sp in specs]
+    hs, cums = (np.stack([p[i] for p in parts]) for i in (0, 1))
+    dh, dcum = (np.concatenate([p[i] for p in parts]) for i in (2, 3))
+    cause = np.concatenate([np.full(len(p[2]), j) for j, p in enumerate(parts)])
+    n_l, n_p = len(specs), cause.size
+    damp = np.exp(-(eps @ cums))
+    out = np.empty((1 + n_p + n_l,) + eps.shape + damp.shape[-1:])
+    vals, d_haz, d_eps = out[0], out[1:1 + n_p], out[1 + n_p:]
+    with np.errstate(invalid="ignore"):
+        hd = hs[None] * damp[:, None]
+        np.multiply(eps[:, :, None], hd, out=vals)
+        # d(h_j eps_j damp) = dh_j eps_j damp - h_j eps_j damp d(eps . H)
+        e_c = eps[:, cause].T[:, :, None]
+        np.multiply(vals[None], (e_c * -dcum[:, None])[:, :, None], out=d_haz)
+        for s, c in enumerate(cause):
+            d_haz[s, :, c] += e_c[s] * dh[s] * damp
+        np.multiply(vals[None], -cums[:, None, None], out=d_eps)
+        for c in range(n_l):
+            d_eps[c, :, c] += hd[:, c]
+    if not damp.all():
+        out = np.where(damp[:, None] == 0.0, 0.0, out)
+    panels = np.einsum("pk,cpk->pc", r.weights,
+                       out.reshape((-1,) + r.weights.shape))
+    table = np.cumsum(_segment_sums(panels, r.segment, r.n_segments),
+                      axis=0)[r.at]
+    table = table.T.reshape(out.shape[:3] + (-1,))
+    return table[0], table[1:1 + n_p], table[1 + n_p:]
+
+
+def _grid_tangents(m, rule):
+    """The derivatives of F of m on a frozen rule.
+
+    Returns (d_hazards, d_eps, d_weights): in the packed parameters of the
+    (k, j) hazards in slot order, (P, L1, L2, n1, n2); per individual k in
+    the entries eps_matrix(k)[w, c], (W, L_k, L1, L2, n1, n2); and in the
+    weights, (W, L1, L2, n1, n2).
+    """
+    (c1, dh1, de1), (c2, dh2, de2) = (
+        _table_tangents(m.hazards_for(k), m.eps_matrix(k), r)
+        for k, r in zip((1, 2), rule.tables))
+    p = m.frailty.weights
+    d_hazards = np.concatenate([np.einsum("w,swai,wbl->sabil", p, dh1, c2),
+                                np.einsum("w,wai,swbl->sabil", p, c1, dh2)])
+    d_eps = (np.einsum("w,cwai,wbl->wcabil", p, de1, c2),
+             np.einsum("w,wai,cwbl->wcabil", p, c1, de2))
+    return d_hazards, d_eps, np.einsum("wai,wbl->wabil", c1, c2)
 
 
 def sub_distribution_table(m, k, t_points, q=None):
@@ -476,9 +540,9 @@ def joint_sub_distribution_grid(m, t1_points, t2_points, q=None):
 
     The per-axis conditional tables are built once and reused for every
     cause pair and grid point.  In place of a ``QuadratureConfig``, ``q``
-    may be the rule of ``_frozen_rule`` for this grid: the tables are then
-    sums on its fixed nodes.  That is how the Jacobian columns of
-    ``identifiability.recover_parameters`` are evaluated.
+    may be the rule of ``_grid_rule`` for this grid: the tables are then
+    sums on its fixed nodes, the function that ``_grid_tangents``
+    differentiates.
     """
     if isinstance(q, _GridRule):
         return _grid_on_rule(m, q)

@@ -82,6 +82,26 @@ def test_validate_flags_unsaturatable_model(tmp_path):
     assert run(["validate", "--model", str(p)]) == 1
 
 
+def test_validate_flags_a_weibull_model_beyond_the_double_range(tmp_path,
+                                                               capsys):
+    # (60 / alpha) ** (1 / gamma) and the inverse at load 40 both overflow;
+    # RuntimeWarning is an error here
+    flat = {
+        "structure": {"kind": "shared", "l1": 1, "l2": 1},
+        "hazards": {
+            "1": [{"family": "weibull", "gamma": 0.01, "alpha": 1e-3}],
+            "2": [{"family": "weibull", "gamma": 0.01, "alpha": 1e-3}],
+        },
+        "frailty": {"atoms": [[1.0]], "weights": [1.0]},
+    }
+    p = tmp_path / "flat.json"
+    p.write_text(json.dumps(flat))
+    assert run(["validate", "--model", str(p)]) == 1
+    out = capsys.readouterr().out
+    assert "normalization: FAIL [saturation horizon exceeds" in out
+    assert "validation failed: normalization" in out
+
+
 def test_simulate_deterministic_and_thread_invariant(files):
     out1 = files["dir"] / "a.csv"
     out2 = files["dir"] / "b.csv"

@@ -20,8 +20,8 @@ from frailtykit import (
     validate_family,
 )
 from frailtykit._quad import integrate_power_substituted
-from frailtykit.hazards import (_hazard_and_cumulative, _rates_and_loads,
-                                _solve_total_load)
+from frailtykit.hazards import (_hazard_and_cumulative, _hazard_tangents,
+                                _rates_and_loads, _solve_total_load)
 
 from helpers import ALL_FAMILIES, random_hazard
 
@@ -244,6 +244,70 @@ def test_shared_gamma_kernel_matches_mpmath(g):
         tol = 5e-14 if xi < 1e-3 else 1.5e-14
         assert abs(hi - h_ref) <= tol * h_ref, xi
         assert abs(ci - cum_ref) <= tol * cum_ref, xi
+
+
+def _mp_h_and_cum(family, log_g, log_a, t):
+    """h(t) and H(t) at the current mpmath precision, as functions of
+    log gamma and log alpha."""
+    g, a, t = mpmath.exp(log_g), mpmath.exp(log_a), mpmath.mpf(t)
+    if family is Family.GAMMA:
+        x = a * t
+        if x < g + 1:
+            p = mpmath.gammainc(g, 0, x, regularized=True)
+            q, cum = 1 - p, -mpmath.log1p(-p)
+        else:
+            q = mpmath.gammainc(g, x, mpmath.inf, regularized=True)
+            cum = -mpmath.log(q)
+        return a * mpmath.exp((g - 1) * mpmath.log(x) - x
+                              - mpmath.loggamma(g)) / q, cum
+    power = a * t ** g
+    if family is Family.LOGLOGISTIC:
+        return a * g * t ** (g - 1) / (1 + power), mpmath.log1p(power)
+    return a * g * t ** (g - 1), power
+
+
+# (family, gamma): gamma < 1 and > 1 for the shaped families
+_TANGENT_SPECS = [(Family.EXPONENTIAL, 1.0), (Family.WEIBULL, 0.5),
+                  (Family.WEIBULL, 2.5), (Family.LOGLOGISTIC, 0.6),
+                  (Family.LOGLOGISTIC, 2.5), (Family.GAMMA, 0.5),
+                  (Family.GAMMA, 2.5), (Family.GAMMA, 7.0)]
+
+
+@pytest.mark.parametrize("family, g", _TANGENT_SPECS)
+def test_hazard_tangents_match_mpmath(family, g):
+    # t from 1e-300 to 1e3, and for gamma both sides of the seams at
+    # x = g + 1, 40 and 600; entries that underflow out of the normal range
+    # on both sides are skipped
+    a = 0.7
+    t = np.geomspace(1e-300, 1e3, 23)
+    if family is Family.GAMMA:
+        t = np.concatenate([t, [c * f / a for c in (g + 1.0, 40.0, 600.0)
+                                for f in (1 - 1e-12, 1.0, 1 + 1e-12)]])
+    spec = HazardSpec(family, g, a)
+    h, cum, dh, dcum = _hazard_tangents(spec, t)
+    assert np.array_equal(h, _hazard_and_cumulative(spec, t)[0])
+    assert np.array_equal(cum, _hazard_and_cumulative(spec, t)[1])
+    slots = ["alpha"] if family is Family.EXPONENTIAL else ["gamma", "alpha"]
+    assert dh.shape == dcum.shape == (len(slots), t.size)
+    # closed forms: a few ulp times |g log t|; gamma's log alpha slot
+    # cancels gamma - a t + t h ~ 1 out of terms ~ x; its log gamma slot is
+    # a central difference of step 2e-5
+    tols = {"gamma": 3e-8 if family is Family.GAMMA else 2e-13,
+            "alpha": 1e-12 if family is Family.GAMMA else 2e-13}
+    with mpmath.workdps(60):
+        logs = {"gamma": mpmath.log(g), "alpha": mpmath.log(a)}
+        for i, ti in enumerate(t):
+            for row, name in enumerate(slots):
+                def at(x, part):
+                    args = dict(logs, **{name: x})
+                    return _mp_h_and_cum(family, args["gamma"], args["alpha"],
+                                         ti)[part]
+                for part, got in ((0, dh[row, i]), (1, dcum[row, i])):
+                    ref = float(mpmath.diff(lambda x: at(x, part), logs[name]))
+                    if max(abs(ref), abs(got)) < 1e-290:
+                        continue
+                    assert abs(got - ref) <= tols[name] * abs(ref), (
+                        name, part, ti)
 
 
 @pytest.mark.parametrize("family", ALL_FAMILIES)

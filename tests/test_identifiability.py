@@ -288,6 +288,9 @@ def test_recovery_budget_caps_every_grid_evaluation(benchmark_pair, budget,
     tensor = target_tensor(target, grid)
     seen = []
     real_grid = md.joint_sub_distribution_grid
+    # a Jacobian is no F grid, but costs one evaluation per parameter
+    jacobians = []
+    real_tangents = md._grid_tangents
 
     def counting_grid(m, *args):
         fit = real_grid(m, *args)
@@ -295,9 +298,14 @@ def test_recovery_budget_caps_every_grid_evaluation(benchmark_pair, budget,
         seen.append((m, float(r @ r)))
         return fit
 
+    def counting_tangents(m, *args):
+        jacobians.append(_Parametrization(m).size)
+        return real_tangents(m, *args)
+
     monkeypatch.setattr(md, "joint_sub_distribution_grid", counting_grid)
+    monkeypatch.setattr(md, "_grid_tangents", counting_tangents)
     res = recover_parameters(tensor, grid, _recovery_start(0), budget=budget)
-    assert res.evaluations == len(seen) <= budget
+    assert res.evaluations == len(seen) + sum(jacobians) <= budget
     assert not res.converged
     # the result is the best point evaluated, reported without a new grid
     best_model, best_value = min(seen, key=lambda item: item[1])
@@ -409,6 +417,132 @@ def test_jacobian_builds_one_rule_and_is_free_when_repeated(benchmark_pair,
     assert residuals.evaluations == theta.size
     residuals.jacobian(theta + 1e-3)
     assert residuals.evaluations == 2 * theta.size
+
+
+def _rule_jacobian_pair(m, enforce_unit_mean, step=1e-5):
+    """The exact Jacobian of vec F at m's own parameters, and central
+    differences of F on the same frozen rule."""
+    grid = default_probe_grid(m)
+    par = _Parametrization(m, enforce_unit_mean)
+    theta = par.pack(m)
+    zero = np.zeros(target_tensor(m, grid).shape)
+    jac = _Residuals(par, grid, zero, budget=10 ** 6).jacobian(theta)
+    rule = md._grid_rule(par.unpack(theta), grid.t1_points, grid.t2_points)
+    ref = np.empty_like(jac)
+    for i in range(theta.size):
+        e = np.zeros(theta.size)
+        e[i] = step
+        ends = [md.joint_sub_distribution_grid(par.unpack(theta + s),
+                                               grid.t1_points,
+                                               grid.t2_points, rule)
+                for s in (e, -e)]
+        ref[:, i] = (ends[0] - ends[1]).ravel() / (2.0 * step)
+    return jac, ref
+
+
+def _one_atom_and_small_gamma_models():
+    st = FrailtyStructure(FrailtyKind.SHARED, 2, 2)
+    specs = [HazardSpec(Family.GAMMA, 0.7, 1.2), W(1.5, 0.5)]
+    one = ModelSpec.from_lists(st, specs, specs[::-1],
+                               DiscreteFrailty(st, [[1.0]], [1.0]))
+    specs = [W(0.5, 1.0), HazardSpec(Family.LOGLOGISTIC, 0.8, 0.7)]
+    small = ModelSpec.from_lists(st, specs, specs[::-1],
+                                 DiscreteFrailty(st, [[0.6], [1.4]],
+                                                 [0.5, 0.5]))
+    return [one, small]
+
+
+def test_exact_jacobian_matches_central_differences_on_its_rule():
+    rng = np.random.default_rng(23)
+    models = [random_model(kind, rng, gamma_range=(0.5, 3.0))
+              for kind in ALL_KINDS] + _one_atom_and_small_gamma_models()
+    families = set()
+    for m in models:
+        families |= {spec.family for spec in m.hazards.values()}
+        for enforce_unit_mean in (True, False):
+            jac, ref = _rule_jacobian_pair(m, enforce_unit_mean)
+            par = _Parametrization(m, enforce_unit_mean)
+            assert jac.shape == (ref.shape[0], par.size)
+            assert np.max(np.abs(jac - ref)) <= 1e-7 * np.max(np.abs(ref))
+    assert families == set(ALL_FAMILIES)
+    assert min(spec.gamma for spec in models[-1].hazards.values()) < 1.0
+    assert models[-2].frailty.num_atoms == 1
+
+
+def test_a_jacobian_that_does_not_fit_the_budget_is_not_started(
+        benchmark_pair, monkeypatch):
+    _, target = benchmark_pair
+    grid = default_probe_grid(target)
+    tensor = target_tensor(target, grid)
+    start = _recovery_start(3)
+    size = _Parametrization(start).size
+    rules = []
+    real_rule = md._grid_rule
+
+    def counting_rule(*args):
+        rules.append(None)
+        return real_rule(*args)
+
+    monkeypatch.setattr(md, "_grid_rule", counting_rule)
+    # the start takes 1 evaluation and leaves size - 1
+    res = recover_parameters(tensor, grid, start, budget=size)
+    assert (res.evaluations, res.converged, rules) == (1, False, [])
+    res = recover_parameters(tensor, grid, start, budget=size + 1)
+    assert (res.evaluations, len(rules)) == (size + 1, 1)
+
+
+@pytest.mark.parametrize("failure", ["raise", "nan"])
+def test_a_jacobian_that_fails_ends_the_recovery_unconverged(
+        benchmark_pair, failure, monkeypatch):
+    _, target = benchmark_pair
+    grid = default_probe_grid(target)
+    tensor = target_tensor(target, grid)
+    start = _recovery_start(1)
+
+    def failing_tangents(m, rule):
+        if failure == "raise":
+            raise FloatingPointError("overflow in a tangent")
+        d_hazards, d_eps, d_weights = real_tangents(m, rule)
+        return d_hazards * np.nan, d_eps, d_weights
+
+    real_tangents = md._grid_tangents
+    monkeypatch.setattr(md, "_grid_tangents", failing_tangents)
+    res = recover_parameters(tensor, grid, start, budget=300)
+    assert not res.converged
+    assert res.evaluations == 1 + _Parametrization(start).size
+    assert md.model_to_dict(res.model) == md.model_to_dict(
+        _Parametrization(start).unpack(_Parametrization(start).pack(start)))
+
+
+@pytest.mark.parametrize("seed", [0, 4])
+def test_recovery_stops_at_its_first_solved_point(benchmark_pair, seed,
+                                                  monkeypatch):
+    _, target = benchmark_pair
+    grid = default_probe_grid(target)
+    tensor = target_tensor(target, grid)
+    events = []
+    real_grid, real_tangents = md.joint_sub_distribution_grid, md._grid_tangents
+
+    def counting_grid(m, *args):
+        fit = real_grid(m, *args)
+        r = (fit - tensor).ravel()
+        events.append((m, float(r @ r)))
+        return fit
+
+    def counting_tangents(m, *args):
+        events.append((m, None))
+        return real_tangents(m, *args)
+
+    monkeypatch.setattr(md, "joint_sub_distribution_grid", counting_grid)
+    monkeypatch.setattr(md, "_grid_tangents", counting_tangents)
+    res = recover_parameters(tensor, grid, _recovery_start(seed), budget=300)
+    values = [value for _, value in events]
+    solved = [i for i, v in enumerate(values) if v is not None and v <= 1e-24]
+    # nothing, residual or Jacobian, follows the first solved point
+    assert solved == [len(events) - 1]
+    assert res.converged
+    assert res.objective == values[-1] and res.distance <= 1e-12
+    assert md.model_to_dict(res.model) == md.model_to_dict(events[-1][0])
 
 
 def test_recovery_rejects_more_parameters_than_residuals():
