@@ -232,19 +232,26 @@ def _segment_points(specs, t_points, abs_tol):
     return np.unique(np.concatenate([np.asarray(t_points, float), extras]))
 
 
+def _integrand_values(hs, cums, eps):
+    """h_j(u) eps_wj exp(-sum_j' eps_wj' H_j'(u)) as an (L, W, n) array,
+    and the (W, n) exponentials, from the (L, n) hazards and cumulative
+    hazards at the points u and the (W, L) multipliers."""
+    damp = np.exp(-(eps @ cums))
+    # a saturated exponent kills the integrand even where the hazard
+    # itself has overflowed, so zero those points instead of inf * 0
+    with np.errstate(invalid="ignore"):
+        vals = hs[:, None, :] * eps.T[:, :, None] * damp[None, :, :]
+    return np.where(damp[None, :, :] == 0.0, 0.0, vals), damp
+
+
 def _integrand(specs, eps):
     """The integrand of a conditional table: u (n,) -> (n, L * W) values
-    h_j(u) eps_wj exp(-sum_j' eps_wj' H_j'(u)), column j * W + w."""
+    of ``_integrand_values``, column j * W + w."""
     n_l, n_w = len(specs), eps.shape[0]
 
     def f(u):
         hs, cums = map(np.stack, _rates_and_loads(specs, u))
-        damp = np.exp(-(eps @ cums))
-        # a saturated exponent kills the integrand even where the hazard
-        # itself has overflowed, so zero those points instead of inf * 0
-        with np.errstate(invalid="ignore"):
-            vals = hs[:, None, :] * eps.T[:, :, None] * damp[None, :, :]
-        vals = np.where(damp[None, :, :] == 0.0, 0.0, vals)
+        vals, _ = _integrand_values(hs, cums, eps)
         return vals.reshape(n_l * n_w, -1).T
 
     return f
@@ -273,11 +280,6 @@ def _table_segments(specs, t_points, q):
     return ts, points, power, starts, ends, ends > starts
 
 
-def _as_table(flat, n_l):
-    """(n, L * W) columns of ``_integrand`` as a (W, L, n) table."""
-    return flat.reshape(flat.shape[0], n_l, -1).transpose(2, 1, 0)
-
-
 def _cause_curves(specs, eps, t_points, q):
     """Cumulative conditional sub-distributions, vectorized over atoms.
 
@@ -296,14 +298,17 @@ def _cause_curves(specs, eps, t_points, q):
                               starts[wide], ends[wide], q.rel_tol, q.abs_tol,
                               q.max_subdivisions)
     return _table_from_segments(vals, np.searchsorted(points, ts),
-                                len(specs))
+                                (len(specs), eps.shape[0]))
 
 
-def _table_from_segments(seg_vals, at, n_l):
-    """The (W, L, n) table from the (S, L * W) integrals over the segments
-    between breakpoints: their cumulative sum up to breakpoint ``at[i]`` is
-    the table at the i-th grid time."""
-    return _as_table(np.cumsum(seg_vals, axis=0)[at], n_l)
+def _table_from_segments(seg_vals, at, shape):
+    """The (..., W, L, n) tables from the (S, prod(shape)) integrals over
+    the segments between breakpoints, whose columns are laid out as
+    ``shape`` = (..., L, W): column j * W + w of ``_integrand``, under any
+    leading stack.  Their cumulative sum up to breakpoint ``at[i]`` is the
+    table at the i-th grid time."""
+    table = np.cumsum(seg_vals, axis=0)[at].T.reshape(shape + (-1,))
+    return table.swapaxes(-3, -2)
 
 
 class _TableRule(NamedTuple):
@@ -361,13 +366,21 @@ def _frozen_rule(m, t1_points, t2_points):
     return rule, _grid_on_rule(m, rule)
 
 
+def _rule_sums(r, vals, shape):
+    """Tables on a frozen table rule from values on its nodes,
+    (prod(shape), 15 * P) laid out as in ``_table_from_segments``: the
+    weighted sum per panel, the sum per segment, and the tables."""
+    panels = np.einsum("pk,cpk->pc", r.weights,
+                       vals.reshape((-1,) + r.weights.shape))
+    return _table_from_segments(
+        _segment_sums(panels, r.segment, r.n_segments), r.at, shape)
+
+
 def _table_on_rule(specs, eps, r):
     """A conditional table on a frozen table rule: one integrand pass on
-    its nodes, the weighted sum per panel, and the sum per segment."""
-    vals = _integrand(specs, eps)(r.nodes).reshape(r.weights.shape + (-1,))
-    panels = np.einsum("pk,pkc->pc", r.weights, vals)
-    return _table_from_segments(
-        _segment_sums(panels, r.segment, r.n_segments), r.at, len(specs))
+    its nodes and ``_rule_sums``."""
+    return _rule_sums(r, _integrand(specs, eps)(r.nodes).T,
+                      (len(specs), eps.shape[0]))
 
 
 def _grid_on_rule(m, rule):
@@ -383,35 +396,30 @@ def _table_tangents(specs, eps, r):
     Returns (table, d_hazards, d_eps): the (W, L, n) table; its derivatives
     in the packed parameters of the specs in order (``_hazard_tangents``),
     (P, W, L, n); and d_eps[c, w], the derivative of atom w's rows in
-    eps[w, c], (L, W, L, n).  Like ``_integrand``, every value is 0 where
-    the exponent has saturated.
+    eps[w, c], (L, W, L, n).  Like ``_integrand_values``, every value is 0
+    where the exponent has saturated.
     """
     parts = [_hazard_tangents(sp, r.nodes) for sp in specs]
     hs, cums = (np.stack([p[i] for p in parts]) for i in (0, 1))
     dh, dcum = (np.concatenate([p[i] for p in parts]) for i in (2, 3))
     cause = np.concatenate([np.full(len(p[2]), j) for j, p in enumerate(parts)])
     n_l, n_p = len(specs), cause.size
-    damp = np.exp(-(eps @ cums))
-    out = np.empty((1 + n_p + n_l,) + eps.shape + damp.shape[-1:])
-    vals, d_haz, d_eps = out[0], out[1:1 + n_p], out[1 + n_p:]
+    vals, damp = _integrand_values(hs, cums, eps)
+    out = np.empty((1 + n_p + n_l,) + vals.shape)
+    out[0] = vals
+    d_haz, d_eps = out[1:1 + n_p], out[1 + n_p:]
     with np.errstate(invalid="ignore"):
-        hd = hs[None] * damp[:, None]
-        np.multiply(eps[:, :, None], hd, out=vals)
         # d(h_j eps_j damp) = dh_j eps_j damp - h_j eps_j damp d(eps . H)
         e_c = eps[:, cause].T[:, :, None]
-        np.multiply(vals[None], (e_c * -dcum[:, None])[:, :, None], out=d_haz)
+        np.multiply(vals[None], (e_c * -dcum[:, None])[:, None], out=d_haz)
         for s, c in enumerate(cause):
-            d_haz[s, :, c] += e_c[s] * dh[s] * damp
+            d_haz[s, c] += e_c[s] * dh[s] * damp
         np.multiply(vals[None], -cums[:, None, None], out=d_eps)
         for c in range(n_l):
-            d_eps[c, :, c] += hd[:, c]
+            d_eps[c, c] += hs[c] * damp
     if not damp.all():
-        out = np.where(damp[:, None] == 0.0, 0.0, out)
-    panels = np.einsum("pk,cpk->pc", r.weights,
-                       out.reshape((-1,) + r.weights.shape))
-    table = np.cumsum(_segment_sums(panels, r.segment, r.n_segments),
-                      axis=0)[r.at]
-    table = table.T.reshape(out.shape[:3] + (-1,))
+        out = np.where(damp == 0.0, 0.0, out)
+    table = _rule_sums(r, out.reshape(-1, r.nodes.size), out.shape[:3])
     return table[0], table[1:1 + n_p], table[1 + n_p:]
 
 
@@ -539,13 +547,8 @@ def joint_sub_distribution_grid(m, t1_points, t2_points, q=None):
     """F_{j1 j2} on a product grid: (L1, L2, n1, n2) tensor.
 
     The per-axis conditional tables are built once and reused for every
-    cause pair and grid point.  In place of a ``QuadratureConfig``, ``q``
-    may be the rule of ``_grid_rule`` for this grid: the tables are then
-    sums on its fixed nodes, the function that ``_grid_tangents``
-    differentiates.
+    cause pair and grid point.
     """
-    if isinstance(q, _GridRule):
-        return _grid_on_rule(m, q)
     q = q or DEFAULT_QUADRATURE
     c1 = sub_distribution_table(m, 1, t1_points, q)
     c2 = sub_distribution_table(m, 2, t2_points, q)

@@ -432,9 +432,7 @@ def _rule_jacobian_pair(m, enforce_unit_mean, step=1e-5):
     for i in range(theta.size):
         e = np.zeros(theta.size)
         e[i] = step
-        ends = [md.joint_sub_distribution_grid(par.unpack(theta + s),
-                                               grid.t1_points,
-                                               grid.t2_points, rule)
+        ends = [md._grid_on_rule(par.unpack(theta + s), rule)
                 for s in (e, -e)]
         ref[:, i] = (ends[0] - ends[1]).ravel() / (2.0 * step)
     return jac, ref

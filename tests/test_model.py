@@ -369,11 +369,6 @@ def test_frozen_rule_reproduces_the_adaptive_grid_at_its_own_model():
         families |= {spec.family for spec in m.hazards.values()}
         grid = default_probe_grid(m)
         assert _frozen_rule_gap(m, grid.t1_points, grid.t2_points) <= 4.0
-        # joint_sub_distribution_grid takes the rule in place of q
-        rule, on_rule = _frozen_rule(m, grid.t1_points, grid.t2_points)
-        assert np.array_equal(
-            joint_sub_distribution_grid(m, grid.t1_points, grid.t2_points,
-                                        rule), on_rule)
     assert families == set(ALL_FAMILIES)
 
 
