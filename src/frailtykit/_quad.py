@@ -53,16 +53,6 @@ class QuadratureError(RuntimeError):
         self.error = error
 
 
-def panel_nodes(a, b):
-    """The 15 Kronrod nodes of each panel [a, b], shape a.shape + (15,), and
-    the panel half-widths."""
-    a = np.asarray(a, float)
-    b = np.asarray(b, float)
-    c = 0.5 * (a + b)
-    h = 0.5 * (b - a)
-    return c[..., None] + h[..., None] * NODES, h
-
-
 def gk15(f, a, b):
     """Gauss-Kronrod panels on [a, b].
 
@@ -70,7 +60,11 @@ def gk15(f, a, b):
     each (m,).  Arrays of P endpoints give P panels, evaluated by one call of
     f on their stacked 15 * P nodes, and return two (P, m) arrays.
     """
-    x, h = panel_nodes(a, b)
+    a = np.asarray(a, float)
+    b = np.asarray(b, float)
+    c = 0.5 * (a + b)
+    h = 0.5 * (b - a)
+    x = c[..., None] + h[..., None] * NODES
     y = np.asarray(f(x.reshape(-1)), float)
     if y.ndim == 1:
         y = y[:, None]
@@ -86,16 +80,24 @@ def _segment_sums(panel_values, owner, n_segments):
     return out
 
 
-def adaptive_panels(f, a, b, rel_tol, abs_tol, max_subdivisions):
-    """The adaptive pass of ``integrate`` on the S segments [a_s, b_s] of two
-    1-D endpoint arrays.
+def integrate(f, a, b, rel_tol=1e-9, abs_tol=1e-12, max_subdivisions=200):
+    """Adaptively integrate a vector-valued f over [a, b].
 
-    Returns (integral, error, panels): two (S, m) arrays and the final
-    panels (lo, hi, owner), the endpoints of every panel the pass ended with
-    and the segment each one belongs to.  The integral is the sum of the
-    Kronrod values on those panels.
+    f maps an array of points (n,) to values (n, m).  Scalar a, b return
+    (integral, error), each (m,).  Arrays of S endpoints integrate the S
+    segments [a_s, b_s] together and return two (S, m) arrays.
+
+    Refinement is breadth-first.  A segment is done when every component of
+    its panel sum satisfies err <= max(abs_tol, rel_tol * |integral|).  Each
+    round bisects, in every segment not yet done, each panel whose error
+    exceeds its width's share of that tolerance, and evaluates all the new
+    panels in one gk15 call.  A segment may be bisected at most
+    max_subdivisions times; a round that would go beyond that raises
+    QuadratureError.
     """
-    lo, hi = np.broadcast_arrays(np.asarray(a, float), np.asarray(b, float))
+    scalar = np.ndim(a) == 0 and np.ndim(b) == 0
+    lo, hi = np.broadcast_arrays(np.atleast_1d(np.asarray(a, float)),
+                                 np.atleast_1d(np.asarray(b, float)))
     if lo.ndim != 1:
         raise ValueError("integration endpoints must be scalars or 1-D arrays")
     if not np.all(hi > lo):
@@ -111,7 +113,7 @@ def adaptive_panels(f, a, b, rel_tol, abs_tol, max_subdivisions):
         tol = np.maximum(abs_tol, rel_tol * np.abs(total))
         open_seg = ~np.all(tot_err <= tol, axis=1)
         if not open_seg.any():
-            return total, tot_err, (lo, hi, owner)
+            break
         share = ((hi - lo) / seg_width[owner])[:, None]
         fails = open_seg[owner] & ~np.all(err <= share * tol[owner], axis=1)
         # rounding can leave a segment over its tolerance while every panel
@@ -124,7 +126,9 @@ def adaptive_panels(f, a, b, rel_tol, abs_tol, max_subdivisions):
             raise QuadratureError(
                 f"quadrature did not converge after {max_subdivisions} "
                 f"subdivisions; worst error estimate {worst:.3e}",
-                value=total, error=tot_err)
+                value=total[0] if scalar else total,
+                error=tot_err[0] if scalar else tot_err,
+            )
         keep = ~fails
         mid = 0.5 * (lo[fails] + hi[fails])
         new_lo = np.concatenate([lo[fails], mid])
@@ -135,42 +139,9 @@ def adaptive_panels(f, a, b, rel_tol, abs_tol, max_subdivisions):
         owner = np.concatenate([owner[keep], owner[fails], owner[fails]])
         val = np.concatenate([val[keep], new_val])
         err = np.concatenate([err[keep], new_err])
-
-
-def integrate(f, a, b, rel_tol=1e-9, abs_tol=1e-12, max_subdivisions=200):
-    """Adaptively integrate a vector-valued f over [a, b].
-
-    f maps an array of points (n,) to values (n, m).  Scalar a, b return
-    (integral, error), each (m,).  Arrays of S endpoints integrate the S
-    segments [a_s, b_s] together and return two (S, m) arrays.
-
-    Refinement is breadth-first (``adaptive_panels``).  A segment is done
-    when every component of its panel sum satisfies
-    err <= max(abs_tol, rel_tol * |integral|).  Each round bisects, in every
-    segment not yet done, each panel whose error exceeds its width's share of
-    that tolerance, and evaluates all the new panels in one gk15 call.  A
-    segment may be bisected at most max_subdivisions times; a round that
-    would go beyond that raises QuadratureError.
-    """
-    scalar = np.ndim(a) == 0 and np.ndim(b) == 0
-    try:
-        total, tot_err, _ = adaptive_panels(
-            f, np.atleast_1d(a), np.atleast_1d(b), rel_tol, abs_tol,
-            max_subdivisions)
-    except QuadratureError as exc:
-        if scalar:
-            exc.value, exc.error = exc.value[0], exc.error[0]
-        raise
     if scalar:
         return total[0], tot_err[0]
     return total, tot_err
-
-
-def power_nodes(v, power):
-    """The points u = v**power, moved up to the smallest normal number where
-    they underflow to 0, and the substitution Jacobian du/dv."""
-    return (np.maximum(v ** power, np.finfo(float).tiny),
-            power * v ** (power - 1.0))
 
 
 def substitute_power(f, power):
@@ -184,7 +155,8 @@ def substitute_power(f, power):
         return f
 
     def transformed(v):
-        u, jac = power_nodes(v, power)
+        jac = power * v ** (power - 1.0)
+        u = np.maximum(v ** power, np.finfo(float).tiny)
         vals = np.asarray(f(u), float)
         if vals.ndim == 1:
             vals = vals[:, None]

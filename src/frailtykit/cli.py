@@ -94,17 +94,17 @@ def _cmd_eval(args):
     t1, t2 = grid.t1_points, grid.t2_points
     big_f = md.joint_sub_distribution_grid(m, t1, t2)
     small_f = md.joint_sub_density_grid(m, t1, t2)
+    l1, l2 = m.num_causes(1), m.num_causes(2)
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         fh.write("t1,t2,j1,j2,F,f\n")
         for a, x in enumerate(t1):
             for b, y in enumerate(t2):
-                for i in range(m.num_causes(1)):
-                    for l in range(m.num_causes(2)):
+                for i in range(l1):
+                    for l in range(l2):
                         fh.write(f"{x:.17g},{y:.17g},{i + 1},{l + 1},"
                                  f"{big_f[i, l, a, b]:.17g},"
                                  f"{small_f[i, l, a, b]:.17g}\n")
-    print(f"wrote {len(t1) * len(t2) * m.num_causes(1) * m.num_causes(2)} "
-          f"rows to {args.out}")
+    print(f"wrote {len(t1) * len(t2) * l1 * l2} rows to {args.out}")
     return 0
 
 
@@ -112,10 +112,7 @@ def _cmd_probe(args):
     ma = _load_model(args.model_a)
     mb = _load_model(args.model_b)
     grid = _load_grid(args.grid) if args.grid else None
-    try:
-        report = ident.probe_models(ma, mb, grid)
-    except ValueError as exc:
-        raise _InputError(str(exc))
+    report = ident.probe_models(ma, mb, grid)
     _dump_json(ident.probe_report_to_dict(report), args.out)
     print(f"verdict: {report.verdict.value} "
           f"(sup distance {report.sup_distance:.6g})")
@@ -125,11 +122,8 @@ def _cmd_probe(args):
 def _cmd_recover(args):
     target = _load_model(args.target)
     init = _load_model(args.init)
-    try:
-        result, grid = ident.recover_from_model(
-            target, init, budget=args.budget, seed=args.seed)
-    except ValueError as exc:
-        raise _InputError(str(exc))
+    result, grid = ident.recover_from_model(
+        target, init, budget=args.budget, seed=args.seed)
     out = {
         "model": md.model_to_dict(result.model),
         "distance": result.distance,
@@ -197,11 +191,8 @@ def _cmd_fit(args):
         raise _InputError(f"unknown family {args.family!r}")
     structure = _infer_structure(args.structure, dataset)
     init = _default_fit_init(dataset, structure, args.atoms, family)
-    try:
-        result = ident.fit_mle(dataset, structure, args.atoms, init,
-                               budget=args.budget, seed=args.seed)
-    except ValueError as exc:
-        raise _InputError(str(exc))
+    result = ident.fit_mle(dataset, structure, args.atoms, init,
+                           budget=args.budget, seed=args.seed)
     out = {
         "model": md.model_to_dict(result.model),
         "log_likelihood": result.log_likelihood,

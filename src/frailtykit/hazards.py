@@ -159,11 +159,16 @@ def _log_ratio(num, den):
     return np.log(np.where(both, num, 1.0) / np.where(both, den, 1.0))
 
 
+def _packed_size(family):
+    """The number of packed parameters of a hazard of the family: log gamma
+    unless the family is exponential, then log alpha."""
+    return 1 if family is Family.EXPONENTIAL else 2
+
+
 def _hazard_tangents(spec, t):
     """(h, H, dh, dH) on a time array of positive times: the values of
     ``_hazard_and_cumulative`` and their derivatives in the packed
-    parameters of the spec (log gamma unless the family is exponential,
-    then log alpha), two (P, n) arrays.
+    parameters of the spec (``_packed_size``), two (P, n) arrays.
 
     Exponential, Weibull and log-logistic hazards use closed forms; the
     log-logistic ones go through sigma(z) = 1 - exp(-H) and exp(-H), with

@@ -22,10 +22,11 @@ The probes make the model class's identifiability story operational:
   scale direction is quotiented out.
 
 Recovery counts evaluations: one evaluation is one residual vector, an
-adaptive F grid.  A Jacobian runs the adaptive pass once at its point,
-freezes that pass's nodes, and differentiates F on them exactly
-(``model._grid_tangents``, chained through the parametrization); it costs
-one evaluation per parameter.  The first residual vector with
+adaptive F grid.  A Jacobian is exact: the grid times do not depend on the
+parameters, so dF/dtheta is the integral of the integrand's derivative,
+and one adaptive pass per table integrates the table and its derivatives
+together (``model._grid_tangents``, chained through the parametrization).
+It costs one evaluation per parameter.  The first residual vector with
 r @ r <= 1e-24 ends a recovery.
 """
 
@@ -43,6 +44,7 @@ from . import model as md
 from .hazards import (
     Family,
     HazardSpec,
+    _packed_size,
     _rates_and_loads,
     _solve_time,
     cumulative_hazard,
@@ -305,8 +307,7 @@ class _Parametrization:
 
     @property
     def size(self):
-        n_hz = sum(1 if self.families[s] is Family.EXPONENTIAL else 2
-                   for s in self.slots)
+        n_hz = sum(_packed_size(self.families[s]) for s in self.slots)
         return n_hz + self.num_atoms * self.dimension + (self.num_atoms - 1)
 
     def pack(self, m):
@@ -538,7 +539,7 @@ class _Residuals:
             return self._last_jacobian[1]
         self._spend(theta.size)
         jac = self._at(theta, lambda m, *points: self.par.jacobian(
-            m, *md._grid_tangents(m, md._grid_rule(m, *points))))
+            m, *md._grid_tangents(m, points)))
         if jac is None or not np.all(np.isfinite(jac)):
             raise _Stop(converged=False)
         self._last_jacobian = (key, jac)
@@ -562,10 +563,9 @@ def recover_parameters(target, grid, init, budget=20000, seed=0,
 
     ``budget`` caps the evaluations.  One evaluation is one residual vector,
     an adaptive F grid.  A Jacobian costs one evaluation per parameter and
-    is not started when fewer remain: at its point it runs the adaptive pass
-    once, freezes that pass's nodes, and differentiates F on them exactly.
-    A run the cap cuts returns the best point evaluated with
-    ``converged=False``.
+    is not started when fewer remain; it is exact, one adaptive pass per
+    table that integrates the table together with its derivatives.  A run
+    the cap cuts returns the best point evaluated with ``converged=False``.
     """
     target = np.asarray(target, dtype=float)
     par = _Parametrization(init, enforce_unit_mean)

@@ -15,26 +15,19 @@ the integrable singularity that gamma < 1 hazards put at the origin.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, NamedTuple
+from typing import Mapping
 
 import numpy as np
 
 from . import frailty as fr
-from ._quad import (
-    WEIGHTS_K,
-    _segment_sums,
-    adaptive_panels,
-    integrate,
-    panel_nodes,
-    power_nodes,
-    substitute_power,
-)
+from ._quad import integrate, substitute_power
 # _hazard_array is unused here but looked up on this module by bench/ tests
 from .hazards import _hazard_array  # noqa: F401
 from .hazards import (
     HazardSpec,
     _as_time_array,
     _hazard_tangents,
+    _packed_size,
     _rates_and_loads,
     _solve_time,
     _solve_total_load,
@@ -246,7 +239,8 @@ def _integrand_values(hs, cums, eps):
 
 def _integrand(specs, eps):
     """The integrand of a conditional table: u (n,) -> (n, L * W) values
-    of ``_integrand_values``, column j * W + w."""
+    of ``_integrand_values``, column j * W + w, and its column shape
+    (L, W)."""
     n_l, n_w = len(specs), eps.shape[0]
 
     def f(u):
@@ -254,7 +248,45 @@ def _integrand(specs, eps):
         vals, _ = _integrand_values(hs, cums, eps)
         return vals.reshape(n_l * n_w, -1).T
 
-    return f
+    return f, (n_l, n_w)
+
+
+def _tangent_integrand(specs, eps):
+    """The integrand of a conditional table and of its derivatives, with
+    column shape (1 + P + L, L, W): the values of ``_integrand``, then their
+    derivatives in the P packed parameters of the specs in order
+    (``_hazard_tangents``), then one block per cause c whose column
+    j * W + w is the derivative of value j * W + w in eps[w, c].  Like
+    ``_integrand_values``, every value is 0 where the exponent has
+    saturated.
+    """
+    n_l, n_w = len(specs), eps.shape[0]
+    cause = np.repeat(np.arange(n_l), [_packed_size(sp.family) for sp in specs])
+    n_p = cause.size
+    e_c = eps[:, cause].T[:, :, None]
+
+    def f(u):
+        parts = [_hazard_tangents(sp, u) for sp in specs]
+        hs, cums = (np.stack([p[i] for p in parts]) for i in (0, 1))
+        dh, dcum = (np.concatenate([p[i] for p in parts]) for i in (2, 3))
+        vals, damp = _integrand_values(hs, cums, eps)
+        out = np.empty((1 + n_p + n_l,) + vals.shape)
+        out[0] = vals
+        d_haz, d_eps = out[1:1 + n_p], out[1 + n_p:]
+        with np.errstate(invalid="ignore"):
+            # d(h_j eps_j damp) = dh_j eps_j damp - h_j eps_j damp d(eps . H)
+            np.multiply(vals[None], (e_c * -dcum[:, None])[:, None],
+                        out=d_haz)
+            for s, c in enumerate(cause):
+                d_haz[s, c] += e_c[s] * dh[s] * damp
+            np.multiply(vals[None], -cums[:, None, None], out=d_eps)
+            for c in range(n_l):
+                d_eps[c, c] += hs[c] * damp
+        if not damp.all():
+            out = np.where(damp == 0.0, 0.0, out)
+        return out.reshape(-1, u.size).T
+
+    return f, (1 + n_p + n_l, n_l, n_w)
 
 
 def _table_segments(specs, t_points, q):
@@ -280,12 +312,14 @@ def _table_segments(specs, t_points, q):
     return ts, points, power, starts, ends, ends > starts
 
 
-def _cause_curves(specs, eps, t_points, q):
+def _cause_curves(specs, eps, t_points, q, integrand=_integrand):
     """Cumulative conditional sub-distributions, vectorized over atoms.
 
     specs: the L hazard specs of one individual; eps: (W, L) multipliers.
     Returns a (W, L, len(t_points)) array of
-    int_0^{t} h_j(u) eps_j exp(-sum_j' eps_j' H_j'(u)) du.
+    int_0^{t} h_j(u) eps_j exp(-sum_j' eps_j' H_j'(u)) du.  With
+    ``_tangent_integrand`` it returns the (1 + P + L, W, L, n) stack of
+    that table and its derivatives instead.
 
     All segments between breakpoints are integrated in one batched call,
     under u = v**(1/gamma_min) when gamma_min < 1; a cumulative sum over
@@ -293,147 +327,33 @@ def _cause_curves(specs, eps, t_points, q):
     """
     eps = np.asarray(eps, dtype=float)
     ts, points, power, starts, ends, wide = _table_segments(specs, t_points, q)
-    vals = np.zeros((points.size, len(specs) * eps.shape[0]))
-    vals[wide], _ = integrate(substitute_power(_integrand(specs, eps), power),
-                              starts[wide], ends[wide], q.rel_tol, q.abs_tol,
+    f, shape = integrand(specs, eps)
+    vals = np.zeros((points.size, int(np.prod(shape))))
+    vals[wide], _ = integrate(substitute_power(f, power), starts[wide],
+                              ends[wide], q.rel_tol, q.abs_tol,
                               q.max_subdivisions)
-    return _table_from_segments(vals, np.searchsorted(points, ts),
-                                (len(specs), eps.shape[0]))
+    table = np.cumsum(vals, axis=0)[np.searchsorted(points, ts)]
+    return table.T.reshape(shape + (-1,)).swapaxes(-3, -2)
 
 
-def _table_from_segments(seg_vals, at, shape):
-    """The (..., W, L, n) tables from the (S, prod(shape)) integrals over
-    the segments between breakpoints, whose columns are laid out as
-    ``shape`` = (..., L, W): column j * W + w of ``_integrand``, under any
-    leading stack.  Their cumulative sum up to breakpoint ``at[i]`` is the
-    table at the i-th grid time."""
-    table = np.cumsum(seg_vals, axis=0)[at].T.reshape(shape + (-1,))
-    return table.swapaxes(-3, -2)
-
-
-class _TableRule(NamedTuple):
-    """The P final panels of one table's adaptive pass, frozen: the t-space
-    nodes (15 * P,), their (P, 15) weights (GK15 weight times panel
-    half-width times substitution Jacobian), the segment between
-    breakpoints that holds each panel, the number of segments, and the
-    breakpoint of each grid time."""
-
-    nodes: np.ndarray
-    weights: np.ndarray
-    segment: np.ndarray
-    n_segments: int
-    at: np.ndarray
-
-
-class _GridRule(NamedTuple):
-    """The frozen rules of an F grid's two tables."""
-
-    tables: tuple
-
-
-def _grid_rule(m, t1_points, t2_points):
-    """Run the adaptive pass of each table of the F grid once at m and
-    freeze its final panels into a rule.
-
-    On the rule a table is one integrand pass and a sum per segment, with
-    no breakpoint solve and no refinement, and it is a smooth function of
-    the model parameters: the substitution power stays that of m.  The
-    pass uses ``DEFAULT_QUADRATURE``, as the adaptive F grid of
-    ``joint_sub_distribution_grid`` does, so at m itself the rule matches
-    that grid to a few units in the last place.
-    """
-    q = DEFAULT_QUADRATURE
-    tables = []
-    for k, t_points in ((1, t1_points), (2, t2_points)):
-        specs, eps = m.hazards_for(k), m.eps_matrix(k)
-        ts, points, power, starts, ends, wide = _table_segments(
-            specs, t_points, q)
-        _, _, (lo, hi, owner) = adaptive_panels(
-            substitute_power(_integrand(specs, eps), power), starts[wide],
-            ends[wide], q.rel_tol, q.abs_tol, q.max_subdivisions)
-        v, half = panel_nodes(lo, hi)
-        u, jac = power_nodes(v, power)
-        tables.append(_TableRule(
-            u.reshape(-1), half[:, None] * WEIGHTS_K * jac,
-            np.flatnonzero(wide)[owner], points.size,
-            np.searchsorted(points, ts)))
-    return _GridRule(tuple(tables))
-
-
-def _frozen_rule(m, t1_points, t2_points):
-    """The rule of ``_grid_rule`` at m and F of m on it."""
-    rule = _grid_rule(m, t1_points, t2_points)
-    return rule, _grid_on_rule(m, rule)
-
-
-def _rule_sums(r, vals, shape):
-    """Tables on a frozen table rule from values on its nodes,
-    (prod(shape), 15 * P) laid out as in ``_table_from_segments``: the
-    weighted sum per panel, the sum per segment, and the tables."""
-    panels = np.einsum("pk,cpk->pc", r.weights,
-                       vals.reshape((-1,) + r.weights.shape))
-    return _table_from_segments(
-        _segment_sums(panels, r.segment, r.n_segments), r.at, shape)
-
-
-def _table_on_rule(specs, eps, r):
-    """A conditional table on a frozen table rule: one integrand pass on
-    its nodes and ``_rule_sums``."""
-    return _rule_sums(r, _integrand(specs, eps)(r.nodes).T,
-                      (len(specs), eps.shape[0]))
-
-
-def _grid_on_rule(m, rule):
-    """F of m on a frozen rule."""
-    return _mix(m, *(_table_on_rule(m.hazards_for(k), m.eps_matrix(k), r)
-                     for k, r in zip((1, 2), rule.tables)))
-
-
-def _table_tangents(specs, eps, r):
-    """A conditional table on a frozen table rule and its derivatives, from
-    one pass over the rule's nodes.
-
-    Returns (table, d_hazards, d_eps): the (W, L, n) table; its derivatives
-    in the packed parameters of the specs in order (``_hazard_tangents``),
-    (P, W, L, n); and d_eps[c, w], the derivative of atom w's rows in
-    eps[w, c], (L, W, L, n).  Like ``_integrand_values``, every value is 0
-    where the exponent has saturated.
-    """
-    parts = [_hazard_tangents(sp, r.nodes) for sp in specs]
-    hs, cums = (np.stack([p[i] for p in parts]) for i in (0, 1))
-    dh, dcum = (np.concatenate([p[i] for p in parts]) for i in (2, 3))
-    cause = np.concatenate([np.full(len(p[2]), j) for j, p in enumerate(parts)])
-    n_l, n_p = len(specs), cause.size
-    vals, damp = _integrand_values(hs, cums, eps)
-    out = np.empty((1 + n_p + n_l,) + vals.shape)
-    out[0] = vals
-    d_haz, d_eps = out[1:1 + n_p], out[1 + n_p:]
-    with np.errstate(invalid="ignore"):
-        # d(h_j eps_j damp) = dh_j eps_j damp - h_j eps_j damp d(eps . H)
-        e_c = eps[:, cause].T[:, :, None]
-        np.multiply(vals[None], (e_c * -dcum[:, None])[:, None], out=d_haz)
-        for s, c in enumerate(cause):
-            d_haz[s, c] += e_c[s] * dh[s] * damp
-        np.multiply(vals[None], -cums[:, None, None], out=d_eps)
-        for c in range(n_l):
-            d_eps[c, c] += hs[c] * damp
-    if not damp.all():
-        out = np.where(damp == 0.0, 0.0, out)
-    table = _rule_sums(r, out.reshape(-1, r.nodes.size), out.shape[:3])
-    return table[0], table[1:1 + n_p], table[1 + n_p:]
-
-
-def _grid_tangents(m, rule):
-    """The derivatives of F of m on a frozen rule.
+def _grid_tangents(m, points):
+    """The derivatives of the F grid of m on points = (t1_points,
+    t2_points), each table's from one adaptive pass of
+    ``_tangent_integrand`` at ``DEFAULT_QUADRATURE``, the config of
+    ``joint_sub_distribution_grid``.
 
     Returns (d_hazards, d_eps, d_weights): in the packed parameters of the
     (k, j) hazards in slot order, (P, L1, L2, n1, n2); per individual k in
     the entries eps_matrix(k)[w, c], (W, L_k, L1, L2, n1, n2); and in the
     weights, (W, L1, L2, n1, n2).
     """
-    (c1, dh1, de1), (c2, dh2, de2) = (
-        _table_tangents(m.hazards_for(k), m.eps_matrix(k), r)
-        for k, r in zip((1, 2), rule.tables))
+    tables = []
+    for k, t_points in zip((1, 2), points):
+        t = _cause_curves(m.hazards_for(k), m.eps_matrix(k), t_points,
+                          DEFAULT_QUADRATURE, _tangent_integrand)
+        n_l = m.num_causes(k)
+        tables.append((t[0], t[1:-n_l], t[-n_l:]))
+    (c1, dh1, de1), (c2, dh2, de2) = tables
     p = m.frailty.weights
     d_hazards = np.concatenate([np.einsum("w,swai,wbl->sabil", p, dh1, c2),
                                 np.einsum("w,wai,swbl->sabil", p, c1, dh2)])
@@ -566,8 +486,7 @@ def joint_sub_density_grid(m, t1_points, t2_points):
     _check_times(t1s, t2s, positive=True)
     h1, d1 = _density_factors(m, 1, t1s)
     h2, d2 = _density_factors(m, 2, t2s)
-    mix = np.einsum("w,wai,wbl->abil", m.frailty.weights, d1, d2)
-    return h1[:, None, :, None] * h2[None, :, None, :] * mix
+    return h1[:, None, :, None] * h2[None, :, None, :] * _mix(m, d1, d2)
 
 
 def time_horizon(m, min_load=40.0):

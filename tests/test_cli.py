@@ -268,6 +268,30 @@ def test_malformed_inputs_exit_2(files, capsys):
                 "--out", str(files["dir"] / "r.json")]) == 2
 
 
+def test_library_input_errors_exit_2_with_their_message(files, tmp_path,
+                                                        capsys):
+    other = tmp_path / "correlated.json"
+    other.write_text(json.dumps(
+        {**POINT_MODEL,
+         "structure": {"kind": "correlated", "l1": 2, "l2": 2},
+         "frailty": {"atoms": [[1.0, 1.0]], "weights": [1.0]}}))
+    assert run(["probe", "--model-a", files["m"], "--model-b", str(other),
+                "--out", str(tmp_path / "r.json")]) == 2
+    assert capsys.readouterr().err == (
+        "error: models must share the frailty structure\n")
+
+    one_cause = tmp_path / "one_cause.json"
+    one_cause.write_text(json.dumps(
+        {"structure": {"kind": "shared", "l1": 1, "l2": 1},
+         "hazards": {k: MODEL["hazards"][k][:1] for k in ("1", "2")},
+         "frailty": POINT_MODEL["frailty"]}))
+    assert run(["recover", "--target", files["m"], "--init", str(one_cause),
+                "--out", str(tmp_path / "rec.json")]) == 2
+    assert capsys.readouterr().err == (
+        "error: target has shape (2, 2, 6, 6), the grid and init give "
+        "(1, 1, 6, 6)\n")
+
+
 def _script_target(name):
     """The ``module:attr`` that ``[project.scripts]`` declares for `name`."""
     if sys.version_info >= (3, 11):

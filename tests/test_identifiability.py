@@ -357,9 +357,9 @@ def test_recovery_and_mle_reject_a_budget_that_is_not_an_integer(
     assert res.evaluations == 1
 
 
-def _grid_jacobian_pair(m, enforce_unit_mean):
-    """The frozen-rule Jacobian of vec F at m's own parameters, and central
-    differences (h = 1e-4) of the tightly converged adaptive F grid."""
+def _grid_jacobian_pair(m, enforce_unit_mean, step=1e-4):
+    """The exact Jacobian of vec F at m's own parameters, and central
+    differences of the tightly converged adaptive F grid."""
     grid = default_probe_grid(m)
     par = _Parametrization(m, enforce_unit_mean)
     theta = par.pack(m)
@@ -368,13 +368,13 @@ def _grid_jacobian_pair(m, enforce_unit_mean):
     tight = QuadratureConfig(rel_tol=1e-13, abs_tol=1e-16)
     ref = np.empty_like(jac)
     for i in range(theta.size):
-        step = np.zeros(theta.size)
-        step[i] = 1e-4
+        e = np.zeros(theta.size)
+        e[i] = step
         ends = [md.joint_sub_distribution_grid(par.unpack(theta + s),
                                                grid.t1_points,
                                                grid.t2_points, tight)
-                for s in (step, -step)]
-        ref[:, i] = (ends[0] - ends[1]).ravel() / 2e-4
+                for s in (e, -e)]
+        ref[:, i] = (ends[0] - ends[1]).ravel() / (2.0 * step)
     return jac, ref
 
 
@@ -419,23 +419,29 @@ def test_jacobian_builds_one_rule_and_is_free_when_repeated(benchmark_pair,
     assert residuals.evaluations == 2 * theta.size
 
 
-def _rule_jacobian_pair(m, enforce_unit_mean, step=1e-5):
-    """The exact Jacobian of vec F at m's own parameters, and central
-    differences of F on the same frozen rule."""
-    grid = default_probe_grid(m)
-    par = _Parametrization(m, enforce_unit_mean)
-    theta = par.pack(m)
-    zero = np.zeros(target_tensor(m, grid).shape)
-    jac = _Residuals(par, grid, zero, budget=10 ** 6).jacobian(theta)
-    rule = md._grid_rule(par.unpack(theta), grid.t1_points, grid.t2_points)
-    ref = np.empty_like(jac)
-    for i in range(theta.size):
-        e = np.zeros(theta.size)
-        e[i] = step
-        ends = [md._grid_on_rule(par.unpack(theta + s), rule)
-                for s in (e, -e)]
-        ref[:, i] = (ends[0] - ends[1]).ravel() / (2.0 * step)
-    return jac, ref
+def test_a_jacobian_integrates_two_tables_and_no_f_grid(benchmark_pair,
+                                                        monkeypatch):
+    _, target = benchmark_pair
+    grid = default_probe_grid(target)
+    start = _recovery_start(2)
+    par = _Parametrization(start)
+    residuals = _Residuals(par, grid, target_tensor(target, grid), 100)
+    calls = []
+
+    def counting(name):
+        real = getattr(md, name)
+
+        def wrapped(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+        return wrapped
+
+    for name in ("_cause_curves", "integrate", "sub_distribution_table",
+                 "joint_sub_distribution_grid"):
+        monkeypatch.setattr(md, name, counting(name))
+    residuals.jacobian(par.pack(start))
+    # the tables and quadratures the bench trace counts cover a Jacobian
+    assert calls == ["_cause_curves", "integrate"] * 2
 
 
 def _one_atom_and_small_gamma_models():
@@ -450,7 +456,7 @@ def _one_atom_and_small_gamma_models():
     return [one, small]
 
 
-def test_exact_jacobian_matches_central_differences_on_its_rule():
+def test_exact_jacobian_matches_tight_central_differences():
     rng = np.random.default_rng(23)
     models = [random_model(kind, rng, gamma_range=(0.5, 3.0))
               for kind in ALL_KINDS] + _one_atom_and_small_gamma_models()
@@ -458,7 +464,7 @@ def test_exact_jacobian_matches_central_differences_on_its_rule():
     for m in models:
         families |= {spec.family for spec in m.hazards.values()}
         for enforce_unit_mean in (True, False):
-            jac, ref = _rule_jacobian_pair(m, enforce_unit_mean)
+            jac, ref = _grid_jacobian_pair(m, enforce_unit_mean, step=1e-5)
             par = _Parametrization(m, enforce_unit_mean)
             assert jac.shape == (ref.shape[0], par.size)
             assert np.max(np.abs(jac - ref)) <= 1e-7 * np.max(np.abs(ref))
@@ -474,19 +480,19 @@ def test_a_jacobian_that_does_not_fit_the_budget_is_not_started(
     tensor = target_tensor(target, grid)
     start = _recovery_start(3)
     size = _Parametrization(start).size
-    rules = []
-    real_rule = md._grid_rule
+    tangents = []
+    real_tangents = md._grid_tangents
 
-    def counting_rule(*args):
-        rules.append(None)
-        return real_rule(*args)
+    def counting_tangents(*args):
+        tangents.append(None)
+        return real_tangents(*args)
 
-    monkeypatch.setattr(md, "_grid_rule", counting_rule)
+    monkeypatch.setattr(md, "_grid_tangents", counting_tangents)
     # the start takes 1 evaluation and leaves size - 1
     res = recover_parameters(tensor, grid, start, budget=size)
-    assert (res.evaluations, res.converged, rules) == (1, False, [])
+    assert (res.evaluations, res.converged, tangents) == (1, False, [])
     res = recover_parameters(tensor, grid, start, budget=size + 1)
-    assert (res.evaluations, len(rules)) == (size + 1, 1)
+    assert (res.evaluations, len(tangents)) == (size + 1, 1)
 
 
 @pytest.mark.parametrize("failure", ["raise", "nan"])

@@ -44,9 +44,11 @@ from frailtykit import (
 from frailtykit.identifiability import default_probe_grid
 from frailtykit.model import (
     DEFAULT_QUADRATURE,
-    _frozen_rule,
+    _cause_curves,
+    _mix,
     _segment_points,
     _table_segments,
+    _tangent_integrand,
     _total_level_time,
     sub_distribution_table,
 )
@@ -353,26 +355,28 @@ def test_quadrature_config_rejects_bad_values(field, value):
     assert QuadratureConfig(max_subdivisions=np.int64(7)).max_subdivisions == 7
 
 
-def _frozen_rule_gap(m, t1s, t2s):
-    """max |F on the rule of m - adaptive F| at m itself, in units of
-    2**-52."""
-    _, on_rule = _frozen_rule(m, t1s, t2s)
+def _tangent_pass_gap(m, t1s, t2s):
+    """max |F mixed from the value blocks of the tangent pass - adaptive F|,
+    in units of 2**-52."""
+    values = [_cause_curves(m.hazards_for(k), m.eps_matrix(k), ts,
+                            DEFAULT_QUADRATURE, _tangent_integrand)[0]
+              for k, ts in ((1, t1s), (2, t2s))]
     adaptive = joint_sub_distribution_grid(m, t1s, t2s)
-    return float(np.max(np.abs(on_rule - adaptive))) / 2.0 ** -52
+    return float(np.max(np.abs(_mix(m, *values) - adaptive))) / 2.0 ** -52
 
 
-def test_frozen_rule_reproduces_the_adaptive_grid_at_its_own_model():
+def test_tangent_pass_values_reproduce_the_adaptive_grid():
     rng = np.random.default_rng(29)
     families = set()
     for i in range(16):
         m = random_model(ALL_KINDS[i % 4], rng, gamma_range=(0.5, 3.0))
         families |= {spec.family for spec in m.hazards.values()}
         grid = default_probe_grid(m)
-        assert _frozen_rule_gap(m, grid.t1_points, grid.t2_points) <= 4.0
+        assert _tangent_pass_gap(m, grid.t1_points, grid.t2_points) <= 4.0
     assert families == set(ALL_FAMILIES)
 
 
-def test_frozen_rule_keeps_the_power_and_skips_zero_width_segments():
+def test_tangent_pass_keeps_the_power_and_skips_zero_width_segments():
     st = FrailtyStructure(FrailtyKind.SHARED, 2, 2)
     g = DiscreteFrailty(st, [[0.6], [1.4]], [0.5, 0.5])
     specs = [HazardSpec(Family.WEIBULL, 0.5, 1.0),
@@ -382,7 +386,7 @@ def test_frozen_rule_keeps_the_power_and_skips_zero_width_segments():
     t1s = np.array([0.3, 0.7, np.nextafter(0.7, 1.0), 1.5])
     _, _, power, _, _, wide = _table_segments(specs, t1s, DEFAULT_QUADRATURE)
     assert power == 2.0 and not wide.all()
-    assert _frozen_rule_gap(m, t1s, [0.2, 0.9, 2.0]) <= 4.0
+    assert _tangent_pass_gap(m, t1s, [0.2, 0.9, 2.0]) <= 4.0
 
 
 def test_model_dict_round_trip(shared_two_atom):
