@@ -181,27 +181,27 @@ def limit_identity_check(m, times=(1e-2, 1e-4, 1e-6)):
 
 
 def _sequence_loads(structure, hazards, n):
-    """Transform arguments generated by the survival equality at step n.
+    """Transform arguments generated by the survival equality at steps n.
 
-    Cause-specific structures push m = n/(n+1) through the first cause's
-    inverse cumulative hazard and read every cause's cumulative hazard at the
-    resulting time, accumulating per coordinate; shared and correlated
-    structures use the plain integer load.
+    Elementwise in n: a scalar step gives a (dimension,) vector, an array
+    of steps an (len(n), dimension) array.  Cause-specific structures push
+    m = n/(n+1) through the first cause's inverse cumulative hazard and
+    read every cause's cumulative hazard at the resulting time,
+    accumulating per coordinate; shared and correlated structures use the
+    plain integer load.
     """
-    kind = structure.kind
-    if kind is fr.FrailtyKind.SHARED:
-        return np.array([float(n)])
-    if kind is fr.FrailtyKind.CORRELATED:
-        return np.array([float(n), float(n)])
+    n = np.asarray(n, dtype=float)
+    if structure.kind in (fr.FrailtyKind.SHARED, fr.FrailtyKind.CORRELATED):
+        return np.stack([n] * structure.dimension, axis=-1)
     if hazards is None:
         raise ValueError(
             "cause-specific sequence construction needs the hazard map")
     m1 = n / (n + 1.0)
-    s = np.zeros(structure.dimension)
+    s = np.zeros(n.shape + (structure.dimension,))
     for k in (1, 2):
         t_star = inverse_cumulative_hazard(hazards[(k, 1)], m1)
         for j in range(1, structure.num_causes(k) + 1):
-            s[structure.coordinate_of(k, j)] += cumulative_hazard(
+            s[..., structure.coordinate_of(k, j)] += cumulative_hazard(
                 hazards[(k, j)], t_star)
     return s
 
@@ -214,14 +214,10 @@ def lst_sequence_test(ga, gb, n_max=20, hazards=None):
     """
     if ga.structure != gb.structure:
         raise ValueError("mixtures must share the frailty structure")
-    if n_max < 1:
-        raise ValueError("n_max must be at least 1")
-    ca, cb = fr.canonicalize(ga), fr.canonicalize(gb)
-    gap = 0.0
-    for n in range(1, n_max + 1):
-        s = _sequence_loads(ga.structure, hazards, n)
-        gap = max(gap, abs(fr.lst(ca, s) - fr.lst(cb, s)))
-    return gap
+    n_max = md._check_count(n_max, "n_max")
+    s = _sequence_loads(ga.structure, hazards, np.arange(1, n_max + 1))
+    gap = fr.lst(fr.canonicalize(ga), s) - fr.lst(fr.canonicalize(gb), s)
+    return float(np.max(np.abs(gap)))
 
 
 def scale_confounding_transform(m, c):

@@ -186,17 +186,11 @@ def simulate_dataset(m, cfg, threads=1):
 
 
 def _format_rows(table, start, stop, with_atoms):
-    chunks = []
-    t1, j1, d1 = table["t1"], table["j1"], table["d1"]
-    t2, j2, d2 = table["t2"], table["j2"], table["d2"]
-    atoms = table.get("atom_id")
-    for i in range(start, stop):
-        row = (f"{i},{t1[i]:.17g},{j1[i]},{int(d1[i])},"
-               f"{t2[i]:.17g},{j2[i]},{int(d2[i])}")
-        if with_atoms:
-            row += f",{atoms[i]}"
-        chunks.append(row)
-    return "\n".join(chunks)
+    # %.17g round-trips every double; %d writes the censoring flags as 0/1
+    keys = _CSV_COLUMNS + (("atom_id",) if with_atoms else ())
+    template = "%d,%.17g,%d,%d,%.17g,%d,%d" + (",%d" if with_atoms else "")
+    columns = [table[key][start:stop].tolist() for key in keys]
+    return "\n".join(map(template.__mod__, zip(*columns)))
 
 
 def write_dataset_csv(m, cfg, path, record_atoms=False, threads=1):

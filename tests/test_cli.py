@@ -13,6 +13,7 @@ import pytest
 
 import frailtykit
 from frailtykit import joint_survival, model_from_dict
+from frailtykit import model as md
 from frailtykit.cli import run
 
 
@@ -168,6 +169,41 @@ def test_eval_output_table(files):
     run(["eval", "--model", files["m"], "--grid", files["grid"],
          "--out", str(out2)])
     assert out.read_bytes() == out2.read_bytes()
+
+
+def test_eval_rows_match_a_reference_loop(tmp_path):
+    # unequal cause counts and axis lengths pin the (t1, t2, j1, j2) order
+    payload = {
+        "structure": {"kind": "shared", "l1": 2, "l2": 3},
+        "hazards": {
+            "1": [{"family": "gamma", "gamma": 1.6, "alpha": 0.8},
+                  {"family": "loglogistic", "gamma": 2.2, "alpha": 0.5}],
+            "2": [{"family": "weibull", "gamma": 1.4, "alpha": 0.6},
+                  {"family": "exponential", "gamma": 1.0, "alpha": 0.4},
+                  {"family": "gamma", "gamma": 0.7, "alpha": 1.1}],
+        },
+        "frailty": {"atoms": [[0.6], [1.4]], "weights": [0.5, 0.5]},
+    }
+    t1, t2 = [0.1, 0.3, 0.7, 1.2, 2.0], [0.05, 0.2, 0.5, 1.0, 1.7, 3.0]
+    model_path, grid_path = tmp_path / "m.json", tmp_path / "grid.json"
+    model_path.write_text(json.dumps(payload))
+    grid_path.write_text(json.dumps({"t1_points": t1, "t2_points": t2}))
+    out = tmp_path / "F.csv"
+    assert run(["eval", "--model", str(model_path), "--grid", str(grid_path),
+                "--out", str(out)]) == 0
+
+    m = model_from_dict(payload)
+    big_f = md.joint_sub_distribution_grid(m, t1, t2)
+    small_f = md.joint_sub_density_grid(m, t1, t2)
+    ref = ["t1,t2,j1,j2,F,f"]
+    for a, x in enumerate(t1):
+        for b, y in enumerate(t2):
+            for i in range(2):
+                for l in range(3):
+                    ref.append(f"{x:.17g},{y:.17g},{i + 1},{l + 1},"
+                               f"{big_f[i, l, a, b]:.17g},"
+                               f"{small_f[i, l, a, b]:.17g}")
+    assert out.read_text() == "\n".join(ref) + "\n"
 
 
 def test_probe_self_and_separated(files):

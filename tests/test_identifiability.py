@@ -26,6 +26,7 @@ from frailtykit import (
     joint_sub_density,
     joint_survival,
     limit_identity_check,
+    lst,
     lst_sequence_test,
     normalize_to_unit_mean,
     probe_models,
@@ -52,6 +53,7 @@ from helpers import (
     ALL_KINDS,
     perturb_frailty,
     perturb_model,
+    random_hazard,
     random_model,
 )
 
@@ -183,6 +185,49 @@ def test_lst_sequence_distinct_three_atom_laws():
         if frailty_close(a, b):
             continue
         assert lst_sequence_test(a, b, n_max=20) > 1e-9
+
+
+@pytest.mark.parametrize("n_max", [True, 2.5, 0])
+def test_lst_sequence_rejects_a_step_count_that_is_not_a_positive_int(n_max):
+    st = FrailtyStructure(FrailtyKind.SHARED, 2, 2)
+    g = DiscreteFrailty(st, [[1.0]], [1.0])
+    with pytest.raises(ValueError, match="n_max"):
+        lst_sequence_test(g, g, n_max=n_max)
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_sequence_loads_on_an_array_equal_the_stacked_steps(kind):
+    rng = np.random.default_rng(23)
+    # each individual's first cause, which the sequence inverts, is of a
+    # different family; gamma inverts through gammaincinv
+    families = {(1, 1): Family.GAMMA, (1, 2): Family.LOGLOGISTIC,
+                (2, 1): Family.LOGLOGISTIC, (2, 2): Family.GAMMA}
+    m = ModelSpec(FrailtyStructure(kind, 2, 2),
+                  {key: random_hazard(rng, (fam,))
+                   for key, fam in families.items()},
+                  random_model(kind, rng).frailty)
+    steps = np.arange(1, 31)
+    s = _sequence_loads(m.structure, m.hazards, steps)
+    assert s.shape == (steps.size, m.structure.dimension)
+    ref = np.stack([_sequence_loads(m.structure, m.hazards, int(n))
+                    for n in steps])
+    assert np.array_equal(s, ref)
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_lst_sequence_matches_a_per_step_reference(kind):
+    rng = np.random.default_rng(29)
+    for _ in range(5):
+        m = random_model(kind, rng)
+        gb = perturb_frailty(m, rng).frailty
+        ca, cb = canonicalize(m.frailty), canonicalize(gb)
+        ref = 0.0
+        for n in range(1, 21):
+            s = _sequence_loads(m.structure, m.hazards, n)
+            ref = max(ref, abs(lst(ca, s) - lst(cb, s)))
+        gap = lst_sequence_test(m.frailty, gb, n_max=20, hazards=m.hazards)
+        assert ref > 0.0
+        assert abs(gap - ref) <= 1e-16
 
 
 def test_lst_sequence_cause_specific_needs_hazards():
@@ -378,7 +423,7 @@ def _grid_jacobian_pair(m, enforce_unit_mean, step=1e-4):
     return jac, ref
 
 
-def test_frozen_rule_jacobian_matches_central_differences():
+def test_exact_jacobian_matches_central_differences():
     rng = np.random.default_rng(17)
     families = set()
     for i in range(8):
@@ -389,8 +434,8 @@ def test_frozen_rule_jacobian_matches_central_differences():
     assert families == set(ALL_FAMILIES)
 
 
-def test_jacobian_builds_one_rule_and_is_free_when_repeated(benchmark_pair,
-                                                            monkeypatch):
+def test_jacobian_runs_one_tangent_pass_and_is_free_when_repeated(
+        benchmark_pair, monkeypatch):
     _, target = benchmark_pair
     grid = default_probe_grid(target)
     start = _recovery_start(2)
@@ -410,7 +455,7 @@ def test_jacobian_builds_one_rule_and_is_free_when_repeated(benchmark_pair,
     for name in ("_segment_points", "sub_distribution_table"):
         monkeypatch.setattr(md, name, counting(name))
     jac = residuals.jacobian(theta)
-    # one breakpoint solve per table for the rule, no adaptive column
+    # one breakpoint solve per tangent table, no adaptive column
     assert calls == ["_segment_points"] * 2
     assert residuals.evaluations == theta.size
     assert residuals.jacobian(theta.copy()) is jac
@@ -503,10 +548,10 @@ def test_a_jacobian_that_fails_ends_the_recovery_unconverged(
     tensor = target_tensor(target, grid)
     start = _recovery_start(1)
 
-    def failing_tangents(m, rule):
+    def failing_tangents(m, points):
         if failure == "raise":
             raise FloatingPointError("overflow in a tangent")
-        d_hazards, d_eps, d_weights = real_tangents(m, rule)
+        d_hazards, d_eps, d_weights = real_tangents(m, points)
         return d_hazards * np.nan, d_eps, d_weights
 
     real_tangents = md._grid_tangents

@@ -162,6 +162,23 @@ def test_csv_writer_accepts_file_objects():
     assert len(lines) == 4
 
 
+def test_csv_rows_match_a_per_row_reference_across_a_chunk_boundary():
+    m = random_model(FrailtyKind.CORRELATED_CAUSE_SPECIFIC,
+                     np.random.default_rng(41))
+    cfg = SimConfig(n_pairs=SHARD_SIZE + 4, seed=12, censoring_rate=0.3)
+    buf = io.StringIO()
+    write_dataset_csv(m, cfg, buf, record_atoms=True)
+    table = simulate_table(m, cfg, record_atoms=True)
+    assert 0 < np.mean(~table["d1"]) < 1
+    ref = ["pair_id,t1,j1,d1,t2,j2,d2,atom_id"]
+    for i in range(cfg.n_pairs):
+        ref.append(f"{i},{table['t1'][i]:.17g},{table['j1'][i]},"
+                   f"{int(table['d1'][i])},{table['t2'][i]:.17g},"
+                   f"{table['j2'][i]},{int(table['d2'][i])},"
+                   f"{table['atom_id'][i]}")
+    assert buf.getvalue() == "\n".join(ref) + "\n"
+
+
 def test_csv_reader_error_lines(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("pair_id,t1,j1,d1,t2,j2,d2\n0,1.0,1,1,2.0,1\n")
