@@ -220,7 +220,7 @@ def _cmd_validate(args):
             failures.append(f"hazard ({k},{j})")
     means = fr.coordinate_means(m.frailty)
     mean_gap = float(np.max(np.abs(np.asarray(means) - 1.0)))
-    mean_ok = mean_gap <= 1e-9
+    mean_ok = mean_gap <= fr._MEAN_ONE_TOL
     print(f"frailty mean-one: {'ok' if mean_ok else 'FAIL'} "
           f"[max deviation {mean_gap:.2e}]")
     if not mean_ok:
@@ -228,8 +228,9 @@ def _cmd_validate(args):
     try:
         horizon = md.time_horizon(m)
         total = sum(
-            md.marginal_sub_distribution(m, k, j, horizon)
-            for k in (1, 2) for j in range(1, m.num_causes(k) + 1)) / 2.0
+            float(m.frailty.weights @ cause) for k in (1, 2)
+            for cause in md.sub_distribution_table(m, k, [horizon])[:, :, 0].T
+        ) / 2.0
         norm_ok = abs(total - 1.0) <= 1e-6
         print(f"normalization at t={horizon:.4g}: "
               f"{'ok' if norm_ok else 'FAIL'} [total {total:.9f}]")

@@ -43,6 +43,7 @@ __all__ = [
 
 _WEIGHT_SUM_TOL = 1e-12
 _MERGE_TOL = 1e-12
+_MEAN_ONE_TOL = 1e-9
 
 
 class FrailtyKind(str, Enum):
@@ -309,7 +310,7 @@ def frailty_to_dict(g):
         "atoms": [[float(v) for v in row] for row in g.atoms],
         "weights": [float(w) for w in g.weights],
     }
-    if np.all(np.abs(coordinate_means(g) - 1.0) <= 1e-9):
+    if np.all(np.abs(coordinate_means(g) - 1.0) <= _MEAN_ONE_TOL):
         out["assert_mean_one"] = True
     return out
 
@@ -338,7 +339,7 @@ def frailty_from_dict(d, structure=None):
         raise ValueError("weights must be a nonempty positive vector")
     g = DiscreteFrailty(structure, np.asarray(atoms, dtype=float), w / w.sum())
     if d.get("assert_mean_one", False):
-        if np.any(np.abs(coordinate_means(g) - 1.0) > 1e-9):
+        if np.any(np.abs(coordinate_means(g) - 1.0) > _MEAN_ONE_TOL):
             raise ValueError("frailty declared unit-mean but is not")
         return g
     return normalize_to_unit_mean(g)

@@ -47,7 +47,6 @@ from .hazards import (
     _packed_size,
     _rates_and_loads,
     _solve_time,
-    cumulative_hazard,
     inverse_cumulative_hazard,
 )
 
@@ -94,8 +93,10 @@ class ProbeGrid:
             if len(pts) < 5:
                 raise ValueError("probe grids need at least 5 points per axis")
             arr = np.asarray(pts)
-            if np.any(arr <= 0.0) or np.any(np.diff(arr) <= 0.0):
-                raise ValueError("grid points must be positive and increasing")
+            if not (np.all((arr > 0.0) & (arr < np.inf))
+                    and np.all(np.diff(arr) > 0.0)):
+                raise ValueError(
+                    "grid points must be positive, finite and increasing")
             object.__setattr__(self, name, pts)
 
 
@@ -169,10 +170,11 @@ def limit_identity_check(m, times=(1e-2, 1e-4, 1e-6)):
     mixture is flagged by residuals converging to |mean - 1| instead.
     """
     out = {}
+    times = np.asarray(times, dtype=float).reshape(-1)
     for k in (1, 2):
         # individual k alone: the other individual's loads are H(0) = 0
-        loads = [md.survival_load_vector(m, t, 0.0) if k == 1
-                 else md.survival_load_vector(m, 0.0, t) for t in times]
+        loads = (md.survival_load_vector(m, times, 0.0) if k == 1
+                 else md.survival_load_vector(m, 0.0, times))
         for j in range(1, m.num_causes(k) + 1):
             coord = m.structure.coordinate_of(k, j)
             out[(k, j)] = tuple(
@@ -185,9 +187,9 @@ def _sequence_loads(structure, hazards, n):
 
     Elementwise in n: a scalar step gives a (dimension,) vector, an array
     of steps an (len(n), dimension) array.  Cause-specific structures push
-    m = n/(n+1) through the first cause's inverse cumulative hazard and
-    read every cause's cumulative hazard at the resulting time,
-    accumulating per coordinate; shared and correlated structures use the
+    m = n/(n+1) through each individual's first-cause inverse cumulative
+    hazard and take the coordinate loads at the resulting times
+    (``model._coordinate_loads``); shared and correlated structures use the
     plain integer load.
     """
     n = np.asarray(n, dtype=float)
@@ -197,13 +199,8 @@ def _sequence_loads(structure, hazards, n):
         raise ValueError(
             "cause-specific sequence construction needs the hazard map")
     m1 = n / (n + 1.0)
-    s = np.zeros(n.shape + (structure.dimension,))
-    for k in (1, 2):
-        t_star = inverse_cumulative_hazard(hazards[(k, 1)], m1)
-        for j in range(1, structure.num_causes(k) + 1):
-            s[..., structure.coordinate_of(k, j)] += cumulative_hazard(
-                hazards[(k, j)], t_star)
-    return s
+    t1, t2 = (inverse_cumulative_hazard(hazards[(k, 1)], m1) for k in (1, 2))
+    return md._coordinate_loads(structure, hazards, t1, t2)
 
 
 def lst_sequence_test(ga, gb, n_max=20, hazards=None):
@@ -214,7 +211,7 @@ def lst_sequence_test(ga, gb, n_max=20, hazards=None):
     """
     if ga.structure != gb.structure:
         raise ValueError("mixtures must share the frailty structure")
-    n_max = md._check_count(n_max, "n_max")
+    n_max = fr._check_index(n_max, 1, math.inf, "n_max")
     s = _sequence_loads(ga.structure, hazards, np.arange(1, n_max + 1))
     gap = fr.lst(fr.canonicalize(ga), s) - fr.lst(fr.canonicalize(gb), s)
     return float(np.max(np.abs(gap)))
@@ -576,7 +573,7 @@ def recover_parameters(target, grid, init, budget=20000, seed=0,
         raise ValueError(
             f"the grid gives {target.size} residuals for {par.size} "
             "parameters; recovery needs at least as many residuals")
-    budget = md._check_count(budget, "budget")
+    budget = fr._check_index(budget, 1, math.inf, "budget")
     residuals = _Residuals(par, grid, target, budget)
     theta0 = par.pack(init)
     try:
@@ -665,7 +662,7 @@ def fit_mle(dataset, structure, num_atoms, init, budget=20000, seed=0):
         raise ValueError("init structure does not match requested structure")
     if init.frailty.num_atoms != num_atoms:
         raise ValueError("init atom count does not match num_atoms")
-    budget = md._check_count(budget, "budget")
+    budget = fr._check_index(budget, 1, math.inf, "budget")
     times, causes, observed = _dataset_arrays(dataset, structure)
     n = times[1].size
     par = _Parametrization(init, enforce_unit_mean=True)

@@ -6,6 +6,10 @@ factorizes atom by atom into products of one-dimensional integrals, which is
 how everything here is computed; a brute-force double quadrature exists only
 in the test suite as an oracle.
 
+The sub-density f is the frailty mixture of the same conditional integrand,
+h_j eps_j exp(-sum_j' eps_j' H_j'), that the tables behind F integrate, so
+both share its guard: where the exponent saturates it is 0, not inf * 0.
+
 Time integrals run over segments split at dyadic levels of the baseline
 cumulative hazard, so mass concentrated many scales below the upper limit is
 never missed, and an endpoint substitution u = v**(1/gamma_min) regularizes
@@ -60,15 +64,6 @@ __all__ = [
 ]
 
 
-def _check_count(n, name):
-    """n as an int; ValueError unless it is an integer (not bool) >= 1."""
-    if isinstance(n, (bool, np.bool_)) or not isinstance(n, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, got {n!r}")
-    if n < 1:
-        raise ValueError(f"{name} must be at least 1")
-    return int(n)
-
-
 @dataclass(frozen=True)
 class QuadratureConfig:
     rel_tol: float = 1e-9
@@ -78,12 +73,10 @@ class QuadratureConfig:
     def __post_init__(self):
         if not (0.0 < self.rel_tol < np.inf and 0.0 < self.abs_tol < np.inf):
             raise ValueError("tolerances must be positive and finite")
-        _check_count(self.max_subdivisions, "max_subdivisions")
+        fr._check_index(self.max_subdivisions, 1, np.inf, "max_subdivisions")
 
 
 DEFAULT_QUADRATURE = QuadratureConfig()
-
-_MEAN_ONE_TOL = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
@@ -117,7 +110,7 @@ class ModelSpec:
             raise ValueError("frailty structure does not match model structure")
         if self.require_unit_mean:
             means = fr.coordinate_means(self.frailty)
-            if np.any(np.abs(means - 1.0) > _MEAN_ONE_TOL):
+            if np.any(np.abs(means - 1.0) > fr._MEAN_ONE_TOL):
                 raise ValueError("frailty must have unit mean per coordinate")
         object.__setattr__(self, "hazards", hz)
         object.__setattr__(
@@ -391,36 +384,43 @@ def marginal_sub_distribution(m, k, j, t, q=None):
     return float(m.frailty.weights @ table[:, col, 0])
 
 
-def _density_factors(m, k, ts):
-    """The (L_k, n) baseline hazards of individual k and the (W, L_k, n)
-    array eps_j exp(-sum_j' eps_j' H_j'(t)) per atom and cause: the
-    sub-density of individual k given the atom, divided by h_j(t)."""
-    eps = m.eps_matrix(k)
+def _sub_densities(m, k, ts):
+    """(W, L_k, n) sub-densities of individual k given each atom at the
+    times ts (n,): the values of the table integrand, ``_integrand_values``."""
     hs, cums = map(np.stack, _rates_and_loads(m.hazards_for(k), ts))
-    return hs, eps[:, :, None] * np.exp(-(eps @ cums))[:, None, :]
+    return _integrand_values(hs, cums, m.eps_matrix(k))[0].swapaxes(0, 1)
 
 
 def marginal_sub_density(m, k, j, t):
-    """Marginal cause-j sub-density of individual k (exact finite sum)."""
+    """Marginal cause-j sub-density of individual k (exact finite sum): the
+    frailty mixture of the conditional integrand h_j eps_j exp(-eps . H)."""
     col = _cause_index(m, k, j)
     _check_times(t, positive=True)
     ts = np.asarray(t, dtype=float)
-    flat = ts.reshape(-1)
-    hs, factors = _density_factors(m, k, flat)
-    out = (hs[col] * (m.frailty.weights @ factors[:, col])).reshape(ts.shape)
+    block = _sub_densities(m, k, ts.reshape(-1))
+    out = (m.frailty.weights @ block[:, col]).reshape(ts.shape)
     return float(out) if out.ndim == 0 else out
+
+
+def _coordinate_loads(structure, hazards, t1, t2):
+    """``survival_load_vector`` from a structure and a (k, j) hazard map."""
+    t1, t2 = np.broadcast_arrays(np.asarray(t1, dtype=float),
+                                 np.asarray(t2, dtype=float))
+    s = np.zeros(t1.shape + (structure.dimension,))
+    for k, t in ((1, t1), (2, t2)):
+        for j in range(1, structure.num_causes(k) + 1):
+            s[..., structure.coordinate_of(k, j)] += cumulative_hazard(
+                hazards[(k, j)], t)
+    return s
 
 
 def survival_load_vector(m, t1, t2):
     """Map (t1, t2) to the frailty-space vector s with
     joint_survival = lst(frailty, s): s accumulates each (k, j) cumulative
-    hazard onto the coordinate that multiplies it."""
-    s = np.zeros(m.structure.dimension)
-    for k, t in ((1, t1), (2, t2)):
-        for j in range(1, m.num_causes(k) + 1):
-            s[m.structure.coordinate_of(k, j)] += cumulative_hazard(
-                m.hazard(k, j), t)
-    return s
+    hazard onto the coordinate that multiplies it.  Elementwise in t1 and
+    t2, which broadcast together: the result has their broadcast shape plus
+    a trailing axis of the structure's dimension."""
+    return _coordinate_loads(m.structure, m.hazards, t1, t2)
 
 
 def joint_survival(m, t1, t2):
@@ -478,15 +478,14 @@ def joint_sub_distribution_grid(m, t1_points, t2_points, q=None):
 def joint_sub_density_grid(m, t1_points, t2_points):
     """f_{j1 j2} on a product grid: (L1, L2, n1, n2) tensor (finite sums).
 
-    f_{ab}(t1, t2) = h_1a(t1) h_2b(t2) sum_w p_w d_1wa(t1) d_2wb(t2), with
-    d the conditional sub-densities divided by the hazards.
+    f is the frailty mixture of the conditional integrands of F's tables:
+    f_{ab}(t1, t2) = sum_w p_w g_1wa(t1) g_2wb(t2), with g_kwj =
+    h_kj eps_wj exp(-sum_j' eps_wj' H_kj'), and 0 where that saturates.
     """
     t1s = np.asarray(t1_points, dtype=float).reshape(-1)
     t2s = np.asarray(t2_points, dtype=float).reshape(-1)
     _check_times(t1s, t2s, positive=True)
-    h1, d1 = _density_factors(m, 1, t1s)
-    h2, d2 = _density_factors(m, 2, t2s)
-    return h1[:, None, :, None] * h2[None, :, None, :] * _mix(m, d1, d2)
+    return _mix(m, _sub_densities(m, 1, t1s), _sub_densities(m, 2, t2s))
 
 
 def time_horizon(m, min_load=40.0):

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -49,12 +49,10 @@ class SimConfig:
     censoring_rate: float = 0.0
 
     def __post_init__(self):
-        if self.n_pairs < 0:
-            raise ValueError("n_pairs must be nonnegative")
-        if not 0 <= int(self.seed) < 2 ** 64:
-            raise ValueError("seed must fit in 64 bits")
-        if self.censoring_rate < 0.0:
-            raise ValueError("censoring rate must be nonnegative")
+        fr._check_index(self.n_pairs, 0, math.inf, "n_pairs")
+        fr._check_index(self.seed, 0, 2 ** 64 - 1, "seed")
+        if not 0.0 <= self.censoring_rate < math.inf:
+            raise ValueError("censoring rate must be nonnegative and finite")
 
 
 @dataclass(frozen=True)
@@ -160,29 +158,24 @@ def simulate_table(m, cfg, record_atoms=False, threads=1):
     return table
 
 
+def _observations(table):
+    """The rows of a table's t/j/d columns as BivariateObservations."""
+    columns = [table[f.name].tolist() for f in fields(BivariateObservation)]
+    return list(map(BivariateObservation, *columns))
+
+
 def simulate_pair(m, rng, censoring_rate=0.0):
     """Draw a single pair; accepts a Generator or a seed."""
     if isinstance(rng, np.random.Generator):
         gen_seed = int(rng.integers(0, 2 ** 63))
     else:
         gen_seed = int(rng)
-    shard = _simulate_shard(m, gen_seed, 0, 1, censoring_rate)
-    return BivariateObservation(
-        t1=float(shard["t1"][0]), j1=int(shard["j1"][0]), d1=bool(shard["d1"][0]),
-        t2=float(shard["t2"][0]), j2=int(shard["j2"][0]), d2=bool(shard["d2"][0]))
+    return _observations(_simulate_shard(m, gen_seed, 0, 1, censoring_rate))[0]
 
 
 def simulate_dataset(m, cfg, threads=1):
     """The dataset as a list of observations (see simulate_table for bulk)."""
-    table = simulate_table(m, cfg, threads=threads)
-    return [
-        BivariateObservation(
-            t1=float(table["t1"][i]), j1=int(table["j1"][i]),
-            d1=bool(table["d1"][i]),
-            t2=float(table["t2"][i]), j2=int(table["j2"][i]),
-            d2=bool(table["d2"][i]))
-        for i in range(cfg.n_pairs)
-    ]
+    return _observations(simulate_table(m, cfg, threads=threads))
 
 
 def _format_rows(table, start, stop, with_atoms):
@@ -254,6 +247,7 @@ def read_dataset_csv(path):
 
 def dkw_bandwidth(n, delta):
     """Two-sided uniform empirical-CDF band width sqrt(log(2/delta) / (2n))."""
-    if n < 1 or not 0.0 < delta < 1.0:
-        raise ValueError("need n >= 1 and 0 < delta < 1")
+    fr._check_index(n, 1, math.inf, "n")
+    if not 0.0 < delta < 1.0:
+        raise ValueError("need 0 < delta < 1")
     return float(np.sqrt(np.log(2.0 / delta) / (2.0 * n)))

@@ -284,6 +284,28 @@ def test_fit_rejects_censored_data(files):
                 "--atoms", "1", "--out", str(files["dir"] / "x.json")]) == 2
 
 
+@pytest.mark.parametrize("rate", ["nan", "inf"])
+def test_simulate_rejects_a_non_finite_censoring_rate(files, capsys, rate):
+    out = files["dir"] / "rate.csv"
+    assert run(["simulate", "--model", files["exp"], "--n", "5", "--seed",
+                "3", "--censoring-rate", rate, "--out", str(out)]) == 2
+    assert "censoring rate" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_validate_integrates_one_table_per_individual(files, monkeypatch):
+    calls = []
+    table = md.sub_distribution_table
+
+    def counted(m, k, *args, **kwargs):
+        calls.append(k)
+        return table(m, k, *args, **kwargs)
+
+    monkeypatch.setattr(md, "sub_distribution_table", counted)
+    assert run(["validate", "--model", files["m"]]) == 0
+    assert calls == [1, 2]
+
+
 def test_malformed_inputs_exit_2(files, capsys):
     bad = files["dir"] / "bad.json"
     bad.write_text('{"structure": \n')

@@ -85,6 +85,14 @@ def test_probe_grid_validation():
     assert grid.t1_points == (1.0, 2.0, 3.0, 4.0, 5.0)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_probe_grid_rejects_non_finite_points(bad):
+    with pytest.raises(ValueError, match="finite"):
+        ProbeGrid((0.1, 0.2, 0.3, 0.4, bad), (0.1, 0.2, 0.3, 0.4, 0.5))
+    with pytest.raises(ValueError, match="finite"):
+        ProbeGrid((0.1, 0.2, 0.3, 0.4, 0.5), (bad, 0.2, 0.3, 0.4, 0.5))
+
+
 def test_default_grid_hits_quantile_levels(benchmark_pair):
     ma, _ = benchmark_pair
     grid = default_probe_grid(ma)

@@ -517,6 +517,60 @@ def test_density_grid_matches_the_looped_closed_form():
                         assert abs(scalar - got) <= 1e-15 * got
 
 
+def _product_form_density(m, t1, t2):
+    """f as h_1a h_2b sum_w p_w d_1wa d_2wb with d = eps exp(-eps . H): the
+    hazards factored out of the mixture."""
+    factors = []
+    for k, ts in ((1, t1), (2, t2)):
+        hs = np.array([hazard_rate(sp, ts) for sp in m.hazards_for(k)])
+        cums = np.array([cumulative_hazard(sp, ts) for sp in m.hazards_for(k)])
+        eps = m.eps_matrix(k)
+        factors.append(
+            (hs, eps[:, :, None] * np.exp(-(eps @ cums))[:, None, :]))
+    (h1, d1), (h2, d2) = factors
+    mixed = np.einsum("w,wai,wbl->abil", m.frailty.weights, d1, d2)
+    marginal = h1 * (m.frailty.weights @ d1.swapaxes(0, 1))
+    return h1[:, None, :, None] * h2[None, :, None, :] * mixed, marginal
+
+
+@pytest.mark.parametrize("family", ALL_FAMILIES)
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_densities_are_within_4_ulp_of_the_product_form(kind, family):
+    m = random_model(kind, np.random.default_rng(17), families=(family,))
+    t1, t2 = np.geomspace(0.02, 6.0, 9), np.geomspace(0.05, 4.0, 7)
+    ref, ref_marginal = _product_form_density(m, t1, t2)
+    tol = 4 * np.finfo(float).eps
+    got = joint_sub_density_grid(m, t1, t2)
+    assert np.all(np.abs(got - ref) <= tol * ref)
+    marginal = np.array([marginal_sub_density(m, 1, j, t1) for j in (1, 2)])
+    assert np.all(np.abs(marginal - ref_marginal) <= tol * ref_marginal)
+
+
+def test_densities_are_zero_where_the_exponent_saturates():
+    structure = FrailtyStructure(FrailtyKind.SHARED, 1, 1)
+    g = DiscreteFrailty(structure, [[0.5], [1.5]], [0.5, 0.5])
+    m = ModelSpec.from_lists(structure, [W(3.0, 0.5)], [W(3.0, 0.5)], g)
+    # h and H overflow at t = 1e200; the density there is exp(-inf) = 0
+    with np.errstate(over="ignore"):
+        assert joint_sub_density_grid(m, [1e200], [1.0])[0, 0, 0, 0] == 0.0
+        assert joint_sub_density_grid(m, [1.0], [1e200])[0, 0, 0, 0] == 0.0
+        assert marginal_sub_density(m, 1, 1, 1e200) == 0.0
+        assert joint_sub_density(m, 1, 1, 1e200, 1.0) == 0.0
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_survival_load_vector_broadcasts_like_stacked_scalar_calls(kind):
+    m = random_model(kind, np.random.default_rng(31))
+    t1 = np.array([[0.0], [0.3], [1.7]])
+    t2 = np.array([0.0, 0.5, 2.4, 9.0])
+    got = survival_load_vector(m, t1, t2)
+    assert got.shape == (3, 4, m.structure.dimension)
+    ref = [[survival_load_vector(m, float(a), float(b)) for b in t2]
+           for a in t1[:, 0]]
+    assert np.array_equal(got, np.array(ref))
+    assert survival_load_vector(m, 0.3, 0.5).shape == (m.structure.dimension,)
+
+
 def _cause_indexed_calls(m, j):
     pair = ([1.0, 1.0], [1.0, 1.0])
     return [

@@ -132,6 +132,53 @@ def test_simulate_pair_and_dataset():
     assert simulate_dataset(m, SimConfig(n_pairs=0, seed=1)) == []
 
 
+def test_dataset_rows_equal_a_per_field_construction_from_the_table():
+    m = random_model(FrailtyKind.CORRELATED, np.random.default_rng(3))
+    cfg = SimConfig(n_pairs=SHARD_SIZE + 7, seed=5, censoring_rate=0.4)
+    table = simulate_table(m, cfg)
+    ref = [
+        BivariateObservation(
+            t1=float(table["t1"][i]), j1=int(table["j1"][i]),
+            d1=bool(table["d1"][i]),
+            t2=float(table["t2"][i]), j2=int(table["j2"][i]),
+            d2=bool(table["d2"][i]))
+        for i in range(cfg.n_pairs)
+    ]
+    got = simulate_dataset(m, cfg)
+    assert got == ref
+    fields = ("t1", "j1", "d1", "t2", "j2", "d2")
+    for obs in got + [simulate_pair(m, 8, censoring_rate=0.4)]:
+        assert tuple(type(getattr(obs, f)) for f in fields) == (
+            float, int, bool, float, int, bool)
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"n_pairs": 2.5, "seed": 0},
+    {"n_pairs": True, "seed": 0},
+    {"n_pairs": np.float64(3.0), "seed": 0},
+    {"n_pairs": 10, "seed": 1.5},
+    {"n_pairs": 10, "seed": "7"},
+    {"n_pairs": 10, "seed": 2 ** 64},
+    {"n_pairs": 10, "seed": 0, "censoring_rate": np.nan},
+    {"n_pairs": 10, "seed": 0, "censoring_rate": np.inf},
+])
+def test_config_rejects_non_integer_counts_and_seeds_and_non_finite_rates(
+        kwargs):
+    with pytest.raises(ValueError):
+        SimConfig(**kwargs)
+
+
+def test_config_accepts_numpy_integers():
+    cfg = SimConfig(n_pairs=np.int64(3), seed=np.uint64(2 ** 64 - 1))
+    assert len(simulate_table(exp_model([1.0]), cfg)["t1"]) == 3
+
+
+@pytest.mark.parametrize("n", [np.nan, 2.5, 10.0, True])
+def test_dkw_bandwidth_rejects_a_count_that_is_not_an_integer(n):
+    with pytest.raises(ValueError):
+        dkw_bandwidth(n, 0.5)
+
+
 def test_observation_validation():
     with pytest.raises(ValueError):
         BivariateObservation(t1=-1.0, j1=1, d1=True, t2=1.0, j2=1, d2=True)
