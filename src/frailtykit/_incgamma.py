@@ -7,12 +7,14 @@ scipy's ``gammainc`` or ``gammaincc`` (DiDonato & Morris, ACM TOMS 12(4),
 from x = 600 on, where Q nears underflow, ``log Q`` is assembled in log space
 from Lentz's continued fraction, whose factor callers forming ratios
 (hazards) use to cancel the exponential prefactor algebraically.
+
+``scipy.special`` is imported inside the functions that call it, so it
+loads on the first gamma-family evaluation, not with the package.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import gammainc, gammaincc, gammaln
 
 MAX_ITER = 1000
 
@@ -87,6 +89,8 @@ def _checked(s, x):
 
 def gammainc_upper(s, x):
     """Regularized upper incomplete gamma Q(s, x) = Gamma(s, x) / Gamma(s)."""
+    from scipy.special import gammaincc
+
     s, x = _checked(s, x)
     out = gammaincc(s, x)
     return float(out) if out.ndim == 0 else out
@@ -95,6 +99,8 @@ def gammainc_upper(s, x):
 def _log_upper_and_upper(s, x):
     """(log Q, Q) for broadcast float arrays, unchecked; from x = 600 on Q
     is exp(log Q), which underflows where log Q stays finite."""
+    from scipy.special import gammainc, gammaincc, gammaln
+
     q = np.empty(x.shape)
     log_q = np.empty(x.shape)
     low = x < s + 1.0

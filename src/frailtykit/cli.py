@@ -95,16 +95,16 @@ def _cmd_eval(args):
     big_f = md.joint_sub_distribution_grid(m, t1, t2)
     small_f = md.joint_sub_density_grid(m, t1, t2)
     l1, l2 = m.num_causes(1), m.num_causes(2)
-    # rows run t1 outermost, then t2, j1, j2
-    a, b, i, l = np.indices((len(t1), len(t2), l1, l2)).reshape(4, -1)
-    columns = (np.asarray(t1)[a].tolist(), np.asarray(t2)[b].tolist(),
-               (i + 1).tolist(), (l + 1).tolist(),
-               big_f.transpose(2, 3, 0, 1).ravel().tolist(),
-               small_f.transpose(2, 3, 0, 1).ravel().tolist())
+    # rows run t1 outermost, then t2, j1, j2; each time is formatted once
+    pairs = [f"{i},{j}," for i in range(1, l1 + 1) for j in range(1, l2 + 1)]
+    t2_heads = ["%.17g," % t for t in t2]
+    heads = [a + b + p for a in ("%.17g," % t for t in t1)
+             for b in t2_heads for p in pairs]
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         fh.write("t1,t2,j1,j2,F,f\n")
-        fh.writelines(map("%.17g,%.17g,%d,%d,%.17g,%.17g\n".__mod__,
-                          zip(*columns)))
+        fh.writelines(map("%s%.17g,%.17g\n".__mod__, zip(
+            heads, big_f.transpose(2, 3, 0, 1).ravel().tolist(),
+            small_f.transpose(2, 3, 0, 1).ravel().tolist())))
     print(f"wrote {len(t1) * len(t2) * l1 * l2} rows to {args.out}")
     return 0
 

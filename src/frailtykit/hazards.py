@@ -26,7 +26,6 @@ from enum import Enum
 from typing import Callable
 
 import numpy as np
-from scipy.special import gammainccinv, gammaincinv, gammaln
 
 from ._incgamma import _log_upper_and_upper, cf_upper_sum, log_gammainc_upper
 
@@ -100,6 +99,13 @@ def _unwrap(value, arr):
     return float(value) if arr.ndim == 0 else value
 
 
+# The power families' h and H overflow to inf once t passes the double
+# range, and numpy warns.  The kernels stay bare because they sit in every
+# quadrature and root-finder loop; the callers that can reach such times
+# (the public h and H, the model's tables and densities, ``_solve_time``)
+# ignore that overflow once around their kernel calls.
+
+
 def _hazard_array(spec, t):
     g, a = spec.gamma, spec.alpha
     if spec.family in (Family.WEIBULL, Family.EXPONENTIAL):
@@ -136,6 +142,8 @@ def _hazard_and_cumulative(spec, t):
     # exponential prefactors of f and Q cancel algebraically, leaving
     # h = 1 / (t * F_cf); forming f and Q there would cost a relative error
     # of about x ulp.
+    from scipy.special import gammaln
+
     x = a * t
     log_q, q = _log_upper_and_upper(*np.broadcast_arrays(g, x))
     tail = x >= max(_HAZARD_CF_X, g + 1.0)
@@ -209,15 +217,19 @@ def _rates_and_loads(specs, t):
 
 
 def hazard_rate(spec, t):
-    """Instantaneous rate h(t); strictly positive on t > 0."""
+    """Instantaneous rate h(t); strictly positive on t > 0, and inf where
+    it passes the double range."""
     arr = _as_time_array(t, allow_zero=False)
-    return _unwrap(_hazard_array(spec, arr), arr)
+    with np.errstate(over="ignore"):
+        return _unwrap(_hazard_array(spec, arr), arr)
 
 
 def cumulative_hazard(spec, t):
-    """Integrated rate H(t) = int_0^t h; H(0) = 0, increasing to infinity."""
+    """Integrated rate H(t) = int_0^t h; H(0) = 0, increasing to infinity,
+    and inf where it passes the double range."""
     arr = _as_time_array(t, allow_zero=True)
-    return _unwrap(_cumulative_array(spec, arr), arr)
+    with np.errstate(over="ignore"):
+        return _unwrap(_cumulative_array(spec, arr), arr)
 
 
 # The gamma inverse goes through Q = exp(-v) up to here; beyond it Q is
@@ -303,6 +315,8 @@ def _solve_total_load(specs, eps, target):
 
 def _inverse_gamma_array(spec, v):
     # P = 1 - exp(-v) while it is below 1/2, Q = exp(-v) from there on
+    from scipy.special import gammainccinv, gammaincinv
+
     g, a = spec.gamma, spec.alpha
     out = np.empty(v.shape)
     low = v < np.log(2.0)
@@ -355,7 +369,12 @@ def decomposition(spec):
         cum = _cumulative_array(spec, arr)
         return _unwrap(np.exp(-cum if loglogistic else cum - a * arr), arr)
 
-    a_value = a * g if loglogistic else float(np.exp(g * np.log(a) - gammaln(g)))
+    if loglogistic:
+        a_value = a * g
+    else:
+        from scipy.special import gammaln
+
+        a_value = float(np.exp(g * np.log(a) - gammaln(g)))
     return HazardDecomposition(a_value, b_at)
 
 

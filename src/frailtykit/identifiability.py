@@ -28,6 +28,11 @@ and one adaptive pass per table integrates the table and its derivatives
 together (``model._grid_tangents``, chained through the parametrization).
 It costs one evaluation per parameter.  The first residual vector with
 r @ r <= 1e-24 ends a recovery.
+
+``scipy.optimize`` is imported inside ``recover_parameters`` and the
+simplex behind ``fit_mle``, so it loads on the first recovery or fit; the
+probes run on numpy alone for the exponential, Weibull and log-logistic
+families.
 """
 
 from __future__ import annotations
@@ -37,7 +42,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.optimize import least_squares, minimize
 
 from . import frailty as fr
 from . import model as md
@@ -398,6 +402,8 @@ def _restarted_simplex(objective, theta0, f0, budget, seed):
     (theta, value, evaluations, converged); converged is False when the
     budget ran out before any restart terminated on its own tolerances.
     """
+    from scipy.optimize import minimize
+
     rng = np.random.default_rng(seed)
     evals = 1
 
@@ -560,6 +566,8 @@ def recover_parameters(target, grid, init, budget=20000, seed=0,
     table that integrates the table together with its derivatives.  A run
     the cap cuts returns the best point evaluated with ``converged=False``.
     """
+    from scipy.optimize import least_squares
+
     target = np.asarray(target, dtype=float)
     par = _Parametrization(init, enforce_unit_mean)
     shape = (init.num_causes(1), init.num_causes(2),

@@ -209,13 +209,21 @@ def _segment_points(specs, t_points, abs_tol):
     The levels start at the largest power of two not above abs_tol: below
     it, the first segment carries at most about that much mass."""
     t_max = t_points[-1]
-    total_end = sum(_rates_and_loads(specs, t_max)[1])
+    with np.errstate(over="ignore"):
+        total_end = sum(_rates_and_loads(specs, t_max)[1])
     first = np.frexp(abs_tol)[1] - 1
     levels = np.ldexp(1.0, np.arange(first, _TOP_LEVEL_EXPONENT + 1))
     levels = levels[levels < total_end * 0.999]
     extras = _total_level_time(specs, levels, t_max)
     extras = extras[(extras > 0.0) & (extras < t_max)]
     return np.unique(np.concatenate([np.asarray(t_points, float), extras]))
+
+
+def _stacked_rates(specs, u):
+    """(L, n) arrays of h_j(u) and H_j(u), inf where u saturates them."""
+    with np.errstate(over="ignore"):
+        hs, cums = _rates_and_loads(specs, u)
+    return np.stack(hs), np.stack(cums)
 
 
 def _integrand_values(hs, cums, eps):
@@ -237,8 +245,7 @@ def _integrand(specs, eps):
     n_l, n_w = len(specs), eps.shape[0]
 
     def f(u):
-        hs, cums = map(np.stack, _rates_and_loads(specs, u))
-        vals, _ = _integrand_values(hs, cums, eps)
+        vals, _ = _integrand_values(*_stacked_rates(specs, u), eps)
         return vals.reshape(n_l * n_w, -1).T
 
     return f, (n_l, n_w)
@@ -259,14 +266,15 @@ def _tangent_integrand(specs, eps):
     e_c = eps[:, cause].T[:, :, None]
 
     def f(u):
-        parts = [_hazard_tangents(sp, u) for sp in specs]
-        hs, cums = (np.stack([p[i] for p in parts]) for i in (0, 1))
-        dh, dcum = (np.concatenate([p[i] for p in parts]) for i in (2, 3))
-        vals, damp = _integrand_values(hs, cums, eps)
-        out = np.empty((1 + n_p + n_l,) + vals.shape)
-        out[0] = vals
-        d_haz, d_eps = out[1:1 + n_p], out[1 + n_p:]
-        with np.errstate(invalid="ignore"):
+        # h, H and their derivatives overflow to inf where u saturates them
+        with np.errstate(over="ignore", invalid="ignore"):
+            parts = [_hazard_tangents(sp, u) for sp in specs]
+            hs, cums = (np.stack([p[i] for p in parts]) for i in (0, 1))
+            dh, dcum = (np.concatenate([p[i] for p in parts]) for i in (2, 3))
+            vals, damp = _integrand_values(hs, cums, eps)
+            out = np.empty((1 + n_p + n_l,) + vals.shape)
+            out[0] = vals
+            d_haz, d_eps = out[1:1 + n_p], out[1 + n_p:]
             # d(h_j eps_j damp) = dh_j eps_j damp - h_j eps_j damp d(eps . H)
             np.multiply(vals[None], (e_c * -dcum[:, None])[:, None],
                         out=d_haz)
@@ -387,7 +395,7 @@ def marginal_sub_distribution(m, k, j, t, q=None):
 def _sub_densities(m, k, ts):
     """(W, L_k, n) sub-densities of individual k given each atom at the
     times ts (n,): the values of the table integrand, ``_integrand_values``."""
-    hs, cums = map(np.stack, _rates_and_loads(m.hazards_for(k), ts))
+    hs, cums = _stacked_rates(m.hazards_for(k), ts)
     return _integrand_values(hs, cums, m.eps_matrix(k))[0].swapaxes(0, 1)
 
 

@@ -206,6 +206,30 @@ def test_eval_rows_match_a_reference_loop(tmp_path):
     assert out.read_text() == "\n".join(ref) + "\n"
 
 
+def test_eval_file_matches_the_per_row_template(files):
+    # times whose %.17g form is longer than their repr, a time near the
+    # bottom of the double range, and integer-valued floats
+    t1 = [1e-300, 0.1, 1 / 3, 2.0, 7.0]
+    t2 = [1e-300, 1 / 3, 1.0, 3.0, 10.0]
+    grid_path, out = files["dir"] / "awkward.json", files["dir"] / "F.csv"
+    grid_path.write_text(json.dumps({"t1_points": t1, "t2_points": t2}))
+    assert run(["eval", "--model", files["m"], "--grid", str(grid_path),
+                "--out", str(out)]) == 0
+
+    m = model_from_dict(MODEL)
+    big_f = md.joint_sub_distribution_grid(m, t1, t2)
+    small_f = md.joint_sub_density_grid(m, t1, t2)
+    rows = ["t1,t2,j1,j2,F,f\n"]
+    for a, x in enumerate(t1):
+        for b, y in enumerate(t2):
+            for i in range(2):
+                for l in range(2):
+                    rows.append("%.17g,%.17g,%d,%d,%.17g,%.17g\n" % (
+                        x, y, i + 1, l + 1, big_f[i, l, a, b],
+                        small_f[i, l, a, b]))
+    assert out.read_bytes() == "".join(rows).encode("utf-8")
+
+
 def test_probe_self_and_separated(files):
     report_path = files["dir"] / "probe.json"
     assert run(["probe", "--model-a", files["m"], "--model-b", files["m"],

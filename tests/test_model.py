@@ -558,6 +558,30 @@ def test_densities_are_zero_where_the_exponent_saturates():
         assert joint_sub_density(m, 1, 1, 1e200, 1.0) == 0.0
 
 
+def test_saturating_times_give_their_limits_without_a_warning():
+    structure = FrailtyStructure(FrailtyKind.SHARED, 1, 1)
+    g = DiscreteFrailty(structure, [[0.5], [1.5]], [0.5, 0.5])
+    m = ModelSpec.from_lists(structure, [W(3.0, 0.5)], [W(3.0, 0.5)], g)
+    # h and H pass the double range at t = 1e200: f and S are 0 there,
+    # and F at t = 1e200 is the whole cause-1 mass of individual 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert joint_sub_density_grid(m, [1e200], [1.0])[0, 0, 0, 0] == 0.0
+        assert joint_survival(m, 1e200, 1.0) == 0.0
+        big_f = joint_sub_distribution_grid(m, [1.0, 1e200], [1.0])
+        tangents = _cause_curves(m.hazards_for(1), m.eps_matrix(1),
+                                 [1.0, 1e200], DEFAULT_QUADRATURE,
+                                 _tangent_integrand)
+        assert hazard_rate(W(3.0, 0.5), 1e200) == np.inf
+        assert cumulative_hazard(W(3.0, 0.5), 1e200) == np.inf
+    assert big_f[0, 0, 1, 0] == pytest.approx(
+        1.0 - marginal_survival(m, 2, 1.0), rel=1e-8)
+    assert big_f[0, 0, 0, 0] < big_f[0, 0, 1, 0]
+    # each atom's table holds its whole mass at 1e200, which no parameter
+    # moves
+    assert np.all(np.abs(tangents[1:, :, :, 1]) < 1e-12)
+
+
 @pytest.mark.parametrize("kind", ALL_KINDS)
 def test_survival_load_vector_broadcasts_like_stacked_scalar_calls(kind):
     m = random_model(kind, np.random.default_rng(31))
