@@ -643,20 +643,25 @@ def _log_likelihood(m, times, causes, observed):
     ``@`` give C order, while fancy indexing the Fortran-ordered
     ``eps_matrix`` gives a Fortran-ordered gather that is slow to build and
     to combine, and whose reductions over atoms run n short loops.  A pair
-    whose terms are all -inf gets -inf.
+    whose terms are all -inf gets -inf, even where a saturated time makes
+    its log h inf.
     """
     terms = log_h = 0.0
-    for k in (1, 2):
-        hs, cums = map(np.stack, _rates_and_loads(m.hazards_for(k), times[k]))
-        eps = m.eps_matrix(k)
-        log_h = log_h + np.log(np.take(hs, observed[k]))
-        terms = terms + (np.take(np.log(eps), causes[k], axis=1) - eps @ cums)
+    # a saturated time overflows h and H, and BLAS flags its inf load invalid
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in (1, 2):
+            hs, cums = map(np.stack,
+                           _rates_and_loads(m.hazards_for(k), times[k]))
+            eps = m.eps_matrix(k)
+            log_h = log_h + np.log(np.take(hs, observed[k]))
+            terms = terms + (np.take(np.log(eps), causes[k], axis=1)
+                             - eps @ cums)
     terms = terms + np.log(m.frailty.weights)[:, None]
     top = terms.max(axis=0)
     shift = np.where(top > -np.inf, top, 0.0)
     with np.errstate(divide="ignore"):
         lse = np.log(np.exp(terms - shift).sum(axis=0)) + shift
-    return float(np.sum(lse + log_h))
+    return float(np.sum(lse + np.where(lse > -np.inf, log_h, 0.0)))
 
 
 def fit_mle(dataset, structure, num_atoms, init, budget=20000, seed=0):

@@ -10,10 +10,11 @@ The sub-density f is the frailty mixture of the same conditional integrand,
 h_j eps_j exp(-sum_j' eps_j' H_j'), that the tables behind F integrate, so
 both share its guard: where the exponent saturates it is 0, not inf * 0.
 
-Time integrals run over segments split at dyadic levels of the baseline
-cumulative hazard, so mass concentrated many scales below the upper limit is
-never missed, and an endpoint substitution u = v**(1/gamma_min) regularizes
-the integrable singularity that gamma < 1 hazards put at the origin.
+Time integrals run over segments split near dyadic levels of the baseline
+cumulative hazard, placed from one log-time grid evaluation, so mass
+concentrated many scales below the upper limit is never missed, and an
+endpoint substitution u = v**(1/gamma_min) regularizes the integrable
+singularity that gamma < 1 hazards put at the origin.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ from .hazards import (
     _hazard_tangents,
     _packed_size,
     _rates_and_loads,
-    _solve_time,
     _solve_total_load,
     cumulative_hazard,
     hazard_rate,
@@ -186,34 +186,48 @@ def conditional_survival(m, k, t, pair_frailty):
 
 # Dyadic levels of the total cumulative hazard stop at 2**54.
 _TOP_LEVEL_EXPONENT = 54
+# The grid of _total_level_time: points per binary decade of t, and decades.
+_GRID_PER_OCTAVE = 4
+_GRID_OCTAVES = 64
 
 
 def _total_level_time(specs, levels, hi):
-    """Times t below hi with sum_j H_j(t) = level, for every level at once.
+    """Times t below hi near sum_j H_j(t) = level, for every level at once.
 
-    One ``hazards._solve_time`` call on the total cumulative hazard, with
-    the total rate as its derivative and hi as the ceiling.  A level that
-    the total still reaches at the smallest normal double gets that double.
+    One hazard call on a log2-spaced grid ending at hi; log t is linear in
+    log H between its points and, below it, keeps its lowest slope (H ~
+    t**gamma_min near 0).  Levels not below 0.999 of the top total get hi.
+    A grid with under two finite totals moves down by its span and retries.
     """
-    def total(t, idx):
-        hs, cums = _rates_and_loads(specs, t)
-        return sum(cums), sum(hs)
-
-    return _solve_time(total, levels, ceiling=hi)
+    t = hi * np.exp2(np.arange(-_GRID_OCTAVES * _GRID_PER_OCTAVE, 1)
+                     / _GRID_PER_OCTAVE)
+    while True:
+        with np.errstate(over="ignore", divide="ignore"):
+            log_h = np.log(sum(_rates_and_loads(specs, t)[1]))
+        if log_h[1] != np.inf:
+            break
+        t = t * 2.0 ** -_GRID_OCTAVES
+    ok = np.isfinite(log_h) & (t >= np.finfo(float).tiny)
+    if ok.sum() < 2:
+        return np.full(levels.shape, hi)
+    lh, lt = log_h[ok], np.log(t[ok])
+    x = np.log(levels)
+    slope = (lt[1] - lt[0]) / (lh[1] - lh[0])
+    out = np.exp(np.where(x < lh[0], lt[0] + (x - lh[0]) * slope,
+                          np.interp(x, lh, lt)))
+    return np.where(x < log_h[-1] + np.log(0.999), out, hi)
 
 
 def _segment_points(specs, t_points, abs_tol):
-    """Integration breakpoints: the requested times plus dyadic levels of the
-    baseline total cumulative hazard, so no scale of the integrand is skipped.
+    """Integration breakpoints: the requested times plus times near the
+    dyadic levels of the baseline total cumulative hazard, from one grid
+    evaluation, so no scale of the integrand is skipped.
 
     The levels start at the largest power of two not above abs_tol: below
     it, the first segment carries at most about that much mass."""
     t_max = t_points[-1]
-    with np.errstate(over="ignore"):
-        total_end = sum(_rates_and_loads(specs, t_max)[1])
     first = np.frexp(abs_tol)[1] - 1
     levels = np.ldexp(1.0, np.arange(first, _TOP_LEVEL_EXPONENT + 1))
-    levels = levels[levels < total_end * 0.999]
     extras = _total_level_time(specs, levels, t_max)
     extras = extras[(extras > 0.0) & (extras < t_max)]
     return np.unique(np.concatenate([np.asarray(t_points, float), extras]))

@@ -1,6 +1,7 @@
 """Separation probes, confounding certificate, recovery, MLE."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -747,6 +748,25 @@ def test_log_likelihood_is_minus_inf_where_every_atom_term_is():
     arrays = _dataset_arrays(data, m.structure)
     with np.errstate(over="ignore", invalid="ignore"):
         assert _log_likelihood(m, *arrays) == -np.inf
+
+
+def test_log_likelihood_is_minus_inf_at_a_saturating_time_without_a_warning():
+    # at t = 1e200 h and H of Weibull(3) overflow: log h = inf meets a
+    # log-sum-exp of -inf, and the pair's density is 0, not nan
+    m = shared([0.6, 1.4], [0.5, 0.5], [W(3.0, 0.5)])
+    pair = BivariateObservation(1.0, 1, True, 2.0, 1, True)
+    saturated = BivariateObservation(1e200, 1, True, 1.0, 1, True)
+    two_causes = shared([0.5, 1.5], [0.5, 0.5], [W(2.0, 0.5), E(0.3)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        alone = _log_likelihood(m, *_dataset_arrays([pair], m.structure))
+        both = _log_likelihood(
+            m, *_dataset_arrays([saturated, pair], m.structure))
+        mixed = _log_likelihood(two_causes, *_dataset_arrays(
+            [BivariateObservation(1e200, 1, True, 1.0, 2, True)],
+            two_causes.structure))
+    assert both == mixed == -np.inf
+    assert alone == -2.078888584414571
 
 
 def test_mle_rejects_censored_rows():

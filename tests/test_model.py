@@ -5,13 +5,14 @@ independent scipy quadrature of the defining integral, never against
 another code path of the package itself.
 """
 
+import importlib.util
 import time
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import integrate as sp_integrate
-from scipy.optimize import brentq
 
 from frailtykit import (
     DiscreteFrailty,
@@ -41,6 +42,8 @@ from frailtykit import (
     time_horizon,
     tilted_mean,
 )
+from frailtykit import _quad
+from frailtykit import model as md
 from frailtykit.identifiability import default_probe_grid
 from frailtykit.model import (
     DEFAULT_QUADRATURE,
@@ -429,36 +432,152 @@ LEVEL_SPEC_SETS = [
 ]
 
 
-@pytest.mark.parametrize("specs", LEVEL_SPEC_SETS)
-def test_level_times_match_per_level_brentq(specs):
-    def total(t):
-        return sum(cumulative_hazard(sp, t) for sp in specs)
+def _total(specs, t):
+    return sum(cumulative_hazard(sp, t) for sp in specs)
 
+
+@pytest.mark.parametrize("specs", LEVEL_SPEC_SETS)
+def test_level_times_land_near_their_levels(specs):
+    # the breakpoints only guide the adaptive rule, so they need to sit
+    # near the levels, not on them
     hi = 1.0
-    while total(hi) < 50.0:
+    while _total(specs, hi) < 50.0:
         hi *= 2.0
     levels = np.ldexp(1.0, np.arange(-40, 6))
     got = _total_level_time(specs, levels, hi)
-    for level, t in zip(levels, got):
-        # H underflows to 0 at the bottom of the bracket: log gives -inf
-        with np.errstate(divide="ignore"):
-            ref = np.exp(brentq(
-                lambda x: np.log(total(np.exp(x))) - np.log(level),
-                np.log(1e-290), np.log(hi), xtol=1e-15,
-                rtol=4.0 * np.finfo(float).eps, maxiter=400))
-        assert abs(t - ref) <= 1e-12 * ref, (level, t, ref)
+    assert np.all(got < hi)
+    totals = np.array([_total(specs, t) for t in got])
+    assert np.max(np.abs(np.log2(totals / levels))) <= 0.01
 
 
-def test_level_ladder_starts_at_the_absolute_tolerance():
+def test_level_ladder_spans_the_absolute_tolerance_to_t_max():
     specs = [W(1.5, 0.5), W(0.8, 1.0)]
     points = _segment_points(specs, np.array([5.0]), 1e-12)
-    first = _total_level_time(specs, np.array([2.0 ** -40]), 5.0)[0]
-    assert points[0] == first
     assert points[-1] == 5.0
-    total = [sum(cumulative_hazard(sp, t) for sp in specs)
-             for t in points[:-1]]
-    np.testing.assert_allclose(total, np.ldexp(1.0, np.arange(-40, 4)),
-                               rtol=1e-12)
+    totals = np.array([_total(specs, t) for t in points])
+    # 2**-40 is the largest power of two not above 1e-12; 2**3 is the last
+    # level below the total at t_max
+    np.testing.assert_allclose(np.log2(totals[:-1]), np.arange(-40, 4),
+                               rtol=0.0, atol=0.01)
+    assert 8.0 < totals[-1] < 16.0
+
+
+def _bench_mixed_model():
+    """The mixed-family model of the benchmark's ``simulate_fit`` and
+    ``surface`` workloads, read from bench/inputs.py as it is."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("_bench_inputs", path)
+    inputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+    import frailtykit
+
+    return inputs.mixed_model(frailtykit)
+
+
+def _probe_tables(m):
+    """(specs, eps, times) of each individual's table on the default grid."""
+    grid = default_probe_grid(m)
+    return [(m.hazards_for(k), m.eps_matrix(k), ts)
+            for k, ts in ((1, grid.t1_points), (2, grid.t2_points))]
+
+
+@pytest.mark.parametrize("family", ALL_FAMILIES)
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_tables_sum_to_the_conditional_failure_probability(kind, family):
+    # quadrature-free oracle: per atom, sum_j F_j(t) = 1 - exp(-eps . H(t))
+    rng = np.random.default_rng(71)
+    m = random_model(kind, rng, families=(family,), gamma_range=(0.2, 3.0))
+    ts = np.geomspace(1e-4, time_horizon(m), 15)
+    for k in (1, 2):
+        table = sub_distribution_table(m, k, ts)
+        cums = np.array([cumulative_hazard(sp, ts) for sp in m.hazards_for(k)])
+        exact = -np.expm1(-(m.eps_matrix(k) @ cums))
+        assert np.max(np.abs(table.sum(axis=1) - exact)) <= 1e-12
+
+
+@pytest.mark.parametrize("gamma", [0.3, 1.0, 2.5])
+def test_common_shape_power_tables_match_their_closed_form(gamma):
+    # with one shape, h_j / sum_j' eps_j' h_j' is constant in t, so each
+    # table is (eps_j alpha_j / Lambda) (1 - exp(-Lambda t**gamma))
+    fam = Family.EXPONENTIAL if gamma == 1.0 else Family.WEIBULL
+    specs = [HazardSpec(fam, gamma, a) for a in (0.4, 1.3, 0.7)]
+    eps = np.array([[0.5, 0.8, 1.1], [1.5, 1.2, 0.9]])
+    ts = np.geomspace(1e-3, 20.0, 12)
+    table = _cause_curves(specs, eps, ts, DEFAULT_QUADRATURE)
+    rates = eps * np.array([sp.alpha for sp in specs])
+    lam = rates.sum(axis=1)
+    exact = (rates / lam[:, None])[:, :, None] * -np.expm1(
+        -lam[:, None, None] * ts ** gamma)
+    assert np.max(np.abs(table - exact)) <= 1e-12
+
+
+EXTREME_SHAPES = [W(0.05, 1.0), W(40.0, 1.0), G(0.2, 1.0), G(8.0, 1.0),
+                  LL(0.2, 1.0), LL(12.0, 1.0)]
+
+
+@pytest.mark.parametrize("spec", EXTREME_SHAPES)
+def test_extreme_shape_tables_match_a_tight_reference(spec):
+    specs = [spec, W(0.8, 1.0)]
+    eps = np.array([[0.6, 0.6], [1.4, 1.4]])
+    ts = np.geomspace(1e-8, 1e3, 12)
+    tight = QuadratureConfig(rel_tol=1e-13, abs_tol=1e-15)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got = _cause_curves(specs, eps, ts, DEFAULT_QUADRATURE)
+        ref = _cause_curves(specs, eps, ts, tight)
+    assert np.max(np.abs(got - ref)) <= 1e-12
+
+
+@pytest.mark.parametrize("ts", [[1e-320], [1e-320, 1.0, 1e200]])
+@pytest.mark.parametrize("family", ALL_FAMILIES)
+def test_extreme_t_max_gives_a_finite_table_without_a_warning(family, ts):
+    # at 1e200 a Weibull(3) total overflows on every point of a grid that
+    # ends there, and below the smallest normal double grid points collide;
+    # either way the table stays exact and quiet
+    gamma = 1.0 if family is Family.EXPONENTIAL else 3.0
+    specs = [HazardSpec(family, gamma, 0.5), W(0.8, 1.0)]
+    eps = np.array([[0.5, 0.5], [1.5, 1.5]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        table = _cause_curves(specs, eps, ts, DEFAULT_QUADRATURE)
+        cums = np.array([cumulative_hazard(sp, ts) for sp in specs])
+    assert np.all(np.isfinite(table))
+    np.testing.assert_allclose(table.sum(axis=1), -np.expm1(-(eps @ cums)),
+                               rtol=0.0, atol=1e-12)
+
+
+def test_criterion_7_tables_converge_in_one_gauss_kronrod_round(
+        shared_two_atom, monkeypatch):
+    calls = []
+    real = _quad.gk15
+
+    def counting(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(_quad, "gk15", counting)
+    for specs, eps, ts in _probe_tables(shared_two_atom):
+        for integrand in (md._integrand, _tangent_integrand):
+            calls.clear()
+            _cause_curves(specs, eps, ts, DEFAULT_QUADRATURE, integrand)
+            assert len(calls) == 1
+
+
+def test_breakpoints_cost_one_hazard_call_per_table(shared_two_atom,
+                                                    monkeypatch):
+    calls = []
+    real = md._rates_and_loads
+
+    def counting(specs, t):
+        calls.append(1)
+        return real(specs, t)
+
+    monkeypatch.setattr(md, "_rates_and_loads", counting)
+    for m in (shared_two_atom, _bench_mixed_model()):
+        for specs, _, ts in _probe_tables(m):
+            calls.clear()
+            _segment_points(specs, ts, DEFAULT_QUADRATURE.abs_tol)
+            assert len(calls) == 1
 
 
 SMALL_GAMMA_MODELS = [
