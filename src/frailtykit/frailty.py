@@ -260,9 +260,10 @@ def expanded_matrix(g, k):
 
 def sample(g, rng, n):
     """Draw n atom indices; accepts a Generator or a seed."""
+    n = _check_index(n, 0, np.inf, "n")
     gen = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
     edges = np.cumsum(g.weights)
-    idx = np.searchsorted(edges, gen.random(int(n)), side="right")
+    idx = np.searchsorted(edges, gen.random(n), side="right")
     return np.minimum(idx, g.num_atoms - 1)
 
 

@@ -14,9 +14,9 @@ Families:
 * ``loglogistic``: h = alpha * gamma * t**(gamma-1) / (1 + alpha * t**gamma)
 
 All operations accept scalar or ndarray time arguments and return matching
-shapes; scalars come back as plain floats.  Inside the package h and H are
-formed together by ``_hazard_and_cumulative``: the log-logistic family's
-from one log t, the gamma family's from one incomplete-gamma evaluation.
+shapes; scalars come back as plain floats.  Every h, H and b comes from
+``_hazard_and_cumulative``, the one place each family's h and H are
+written; (L, n) arrays of several causes come from ``_stacked_rates``.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from typing import Callable
 
 import numpy as np
 
-from ._incgamma import _log_upper_and_upper, cf_upper_sum, log_gammainc_upper
+from ._incgamma import _log_upper_and_upper, cf_upper_sum
 
 __all__ = [
     "Family",
@@ -99,45 +99,27 @@ def _unwrap(value, arr):
     return float(value) if arr.ndim == 0 else value
 
 
-# The power families' h and H overflow to inf once t passes the double
-# range, and numpy warns.  The kernels stay bare because they sit in every
-# quadrature and root-finder loop; the callers that can reach such times
-# (the public h and H, the model's tables and densities, ``_solve_time``)
-# ignore that overflow once around their kernel calls.
-
-
-def _hazard_array(spec, t):
-    g, a = spec.gamma, spec.alpha
-    if spec.family in (Family.WEIBULL, Family.EXPONENTIAL):
-        return a * g * t ** (g - 1.0)
-    return _hazard_and_cumulative(spec, t)[0]
-
-
-def _cumulative_array(spec, t):
-    g, a = spec.gamma, spec.alpha
-    fam = spec.family
-    if fam in (Family.WEIBULL, Family.EXPONENTIAL):
-        return a * t ** g
-    if fam is Family.LOGLOGISTIC:
-        with np.errstate(divide="ignore"):
-            z = np.log(a) + g * np.log(t)
-        return np.logaddexp(0.0, z)
-    return -log_gammainc_upper(g, a * t)
+# The kernel stays bare because it sits in every quadrature and root-finder
+# loop.  Its h and H overflow to inf past the double range, and at t = 0 its
+# h is 0 * inf or 1 / 0 (log-logistic and gamma at gamma <= 1, Weibull at
+# gamma < 1); numpy warns on both.  The callers that reach such times (the
+# public h, H and b, ``_stacked_rates``, ``_solve_time``) ignore those
+# warnings once around their kernel calls.
 
 
 def _hazard_and_cumulative(spec, t):
-    """(h(t), H(t)) on a time array.  The power families take the closed
-    forms of ``_hazard_array`` and ``_cumulative_array``.  The log-logistic
-    family shares one log t: H = log(1 + alpha t**gamma) and
+    """(h(t), H(t)) on a time array: the one place each family's h and H
+    are written.  The power families take their closed forms.  The
+    log-logistic family shares one log t: H = log(1 + alpha t**gamma) and
     h = alpha gamma t**(gamma - 1) exp(-H).  The gamma family takes
     H = -log Q and h = f / Q from one incomplete-gamma call."""
     g, a = spec.gamma, spec.alpha
+    if spec.family in (Family.WEIBULL, Family.EXPONENTIAL):
+        return a * g * t ** (g - 1.0), a * t ** g
     if spec.family is Family.LOGLOGISTIC:
         lt = np.log(t)
         cum = np.logaddexp(0.0, np.log(a) + g * lt)
         return np.exp(np.log(a * g) + (g - 1.0) * lt - cum), cum
-    if spec.family is not Family.GAMMA:
-        return _hazard_array(spec, t), _cumulative_array(spec, t)
     # From x = 40 on (and past the continued fraction's x = s + 1 seam) the
     # exponential prefactors of f and Q cancel algebraically, leaving
     # h = 1 / (t * F_cf); forming f and Q there would cost a relative error
@@ -154,6 +136,17 @@ def _hazard_and_cumulative(spec, t):
     if np.any(tail):
         h[tail] = 1.0 / (t[tail] * cf_upper_sum(g, x[tail]))
     return h, -log_q
+
+
+# Selections from the kernel.  They stay as functions because
+# ``hazard_rate``, ``cumulative_hazard`` and ``b_at`` call them and the
+# benchmark's tracer (bench/spans.py) wraps them by name.
+def _hazard_array(spec, t):
+    return _hazard_and_cumulative(spec, t)[0]
+
+
+def _cumulative_array(spec, t):
+    return _hazard_and_cumulative(spec, t)[1]
 
 
 # Step in log gamma of the gamma family's central difference: about
@@ -216,6 +209,13 @@ def _rates_and_loads(specs, t):
     return rates, loads
 
 
+def _stacked_rates(specs, t):
+    """(L, n) arrays of h_j(t) and H_j(t), inf where t saturates them."""
+    with np.errstate(over="ignore"):
+        hs, cums = _rates_and_loads(specs, t)
+    return np.stack(hs), np.stack(cums)
+
+
 def hazard_rate(spec, t):
     """Instantaneous rate h(t); strictly positive on t > 0, and inf where
     it passes the double range."""
@@ -228,7 +228,8 @@ def cumulative_hazard(spec, t):
     """Integrated rate H(t) = int_0^t h; H(0) = 0, increasing to infinity,
     and inf where it passes the double range."""
     arr = _as_time_array(t, allow_zero=True)
-    with np.errstate(over="ignore"):
+    # at t = 0 the kernel's h, dropped here, can be 0 * inf or 1 / 0
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         return _unwrap(_cumulative_array(spec, arr), arr)
 
 
@@ -359,17 +360,17 @@ def decomposition(spec):
     """Expose the h(t) = a * t**(gamma-1) * b(t) factorization."""
     g, a = spec.gamma, spec.alpha
     fam = spec.family
-    if fam in (Family.EXPONENTIAL, Family.WEIBULL):
-        return HazardDecomposition(a * g, lambda t: np.ones_like(np.asarray(t, float)))
-    loglogistic = fam is Family.LOGLOGISTIC
 
     def b_at(t):
-        # log b from H: -H for log-logistic, H - alpha t for gamma
+        # log b from H: 0 for the power families, -H for log-logistic,
+        # H - alpha t for gamma
         arr = _as_time_array(t, allow_zero=True)
-        cum = _cumulative_array(spec, arr)
-        return _unwrap(np.exp(-cum if loglogistic else cum - a * arr), arr)
+        cum = cumulative_hazard(spec, arr)
+        log_b = (-cum if fam is Family.LOGLOGISTIC else
+                 cum - a * arr if fam is Family.GAMMA else np.zeros(arr.shape))
+        return _unwrap(np.exp(log_b), arr)
 
-    if loglogistic:
+    if fam is not Family.GAMMA:
         a_value = a * g
     else:
         from scipy.special import gammaln

@@ -51,6 +51,7 @@ from .hazards import (
     _packed_size,
     _rates_and_loads,
     _solve_time,
+    _stacked_rates,
     inverse_cumulative_hazard,
 )
 
@@ -650,8 +651,7 @@ def _log_likelihood(m, times, causes, observed):
     # a saturated time overflows h and H, and BLAS flags its inf load invalid
     with np.errstate(over="ignore", invalid="ignore"):
         for k in (1, 2):
-            hs, cums = map(np.stack,
-                           _rates_and_loads(m.hazards_for(k), times[k]))
+            hs, cums = _stacked_rates(m.hazards_for(k), times[k])
             eps = m.eps_matrix(k)
             log_h = log_h + np.log(np.take(hs, observed[k]))
             terms = terms + (np.take(np.log(eps), causes[k], axis=1)

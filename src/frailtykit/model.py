@@ -35,11 +35,11 @@ from .hazards import (
     _packed_size,
     _rates_and_loads,
     _solve_total_load,
+    _stacked_rates,
     cumulative_hazard,
     hazard_rate,
     hazard_spec_from_dict,
     hazard_spec_to_dict,
-    inverse_cumulative_hazard,
 )
 
 __all__ = [
@@ -231,13 +231,6 @@ def _segment_points(specs, t_points, abs_tol):
     extras = _total_level_time(specs, levels, t_max)
     extras = extras[(extras > 0.0) & (extras < t_max)]
     return np.unique(np.concatenate([np.asarray(t_points, float), extras]))
-
-
-def _stacked_rates(specs, u):
-    """(L, n) arrays of h_j(u) and H_j(u), inf where u saturates them."""
-    with np.errstate(over="ignore"):
-        hs, cums = _rates_and_loads(specs, u)
-    return np.stack(hs), np.stack(cums)
 
 
 def _integrand_values(hs, cums, eps):
@@ -515,27 +508,26 @@ def time_horizon(m, min_load=40.0):
     raw cumulative hazard reach min_load.
 
     Past this point each conditional survival is below exp(-min_load), so the
-    sub-distributions have effectively saturated.  The horizon is the larger
-    of the raw inverses H_j^{-1}(min_load) and, per individual, the largest
-    per-atom root of sum_j eps_j H_j(t) = min_load.  A horizon beyond the
-    double range raises RuntimeError instead of returning inf.
+    sub-distributions have effectively saturated.  Per individual, one
+    ``_solve_total_load`` call finds the roots of sum_j eps_j H_j(t) =
+    min_load for unit rows eps (the raw H_j) stacked over the atom rows; the
+    horizon is the largest root.  A horizon beyond 1e300 raises RuntimeError
+    instead of returning inf.
     """
     min_load = float(min_load)
     if not (np.isfinite(min_load) and min_load > 0.0):
         raise ValueError("min_load must be positive and finite")
-    message = ("saturation horizon exceeds the floating-point range for "
-               "this model")
-    try:
-        t = max(inverse_cumulative_hazard(m.hazard(k, j), min_load)
-                for k in (1, 2) for j in range(1, m.num_causes(k) + 1))
-        for k in (1, 2):
-            roots = _solve_total_load(m.hazards_for(k), m.eps_matrix(k),
-                                      np.full(m.frailty.num_atoms, min_load))
-            t = max(t, float(roots.max()))
-    except RuntimeError as exc:
-        raise RuntimeError(message) from exc
-    if not np.isfinite(t):
-        raise RuntimeError(message)
+    t = 0.0
+    for k in (1, 2):
+        eps = m.eps_matrix(k)
+        rows = np.vstack([np.eye(eps.shape[1]), eps])
+        try:
+            roots = _solve_total_load(m.hazards_for(k), rows,
+                                      np.full(len(rows), min_load))
+        except RuntimeError as exc:
+            raise RuntimeError("saturation horizon exceeds the floating-point "
+                               "range for this model") from exc
+        t = max(t, float(roots.max()))
     return t
 
 

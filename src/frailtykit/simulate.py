@@ -21,7 +21,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import frailty as fr
-from .hazards import _hazard_array, _solve_total_load
+from .hazards import _solve_total_load, _stacked_rates
 
 __all__ = [
     "SimConfig",
@@ -104,7 +104,7 @@ def _simulate_shard(m, seed, shard_index, count, censoring_rate,
         specs = m.hazards_for(k)
         eps = m.eps_matrix(k)[atom_idx]
         times = _invert_total_load(specs, eps, exp_draws[k])
-        rates = eps * np.stack([_hazard_array(sp, times) for sp in specs], axis=1)
+        rates = eps * _stacked_rates(specs, times)[0].T
         total = rates.sum(axis=1)
         if not np.all(np.isfinite(total) & (total > 0.0)):
             raise RuntimeError("cause assignment rates degenerated")
@@ -139,6 +139,7 @@ def simulate_table(m, cfg, record_atoms=False, threads=1):
     Shards are computed independently (optionally on a thread pool) and
     concatenated in shard order, so the result depends only on cfg.
     """
+    threads = fr._check_index(threads, 1, math.inf, "threads")
     plan = _shard_plan(cfg)
 
     def run(item):
@@ -165,12 +166,11 @@ def _observations(table):
 
 
 def simulate_pair(m, rng, censoring_rate=0.0):
-    """Draw a single pair; accepts a Generator or a seed."""
+    """Draw a single pair; accepts a Generator or a seed.  The seed and the
+    censoring rate are checked as ``SimConfig`` checks them."""
     if isinstance(rng, np.random.Generator):
-        gen_seed = int(rng.integers(0, 2 ** 63))
-    else:
-        gen_seed = int(rng)
-    return _observations(_simulate_shard(m, gen_seed, 0, 1, censoring_rate))[0]
+        rng = int(rng.integers(0, 2 ** 63))
+    return simulate_dataset(m, SimConfig(1, rng, censoring_rate))[0]
 
 
 def simulate_dataset(m, cfg, threads=1):

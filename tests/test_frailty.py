@@ -152,6 +152,13 @@ def test_sample_behavior():
     assert abs(freq - 0.5) < 0.006
 
 
+@pytest.mark.parametrize("n", [2.5, True, -1, np.nan])
+def test_sample_rejects_a_count_that_is_not_a_nonnegative_integer(n):
+    g = make(FrailtyKind.SHARED, [[1.0]], [1.0])
+    with pytest.raises(ValueError, match="n must be an integer"):
+        sample(g, 7, n)
+
+
 def test_canonicalize_merges_and_sorts():
     g = make(FrailtyKind.SHARED, [[1.5], [0.5], [0.5]], [0.25, 0.5, 0.25])
     c = canonicalize(g)

@@ -43,9 +43,13 @@ def test_cumulative_hazard_known_values():
                - 2.25) < 1e-15
     assert abs(cumulative_hazard(HazardSpec(Family.LOGLOGISTIC, 1.0, 2.0), 3.0)
                - np.log(7.0)) < 1e-15
+    # at t = 0 the kernel's h is 0 * inf or 1 / 0 for some of these shapes,
+    # and RuntimeWarning is an error here
     for family in ALL_FAMILIES:
-        spec = HazardSpec(family, 1.0, 0.7)
-        assert cumulative_hazard(spec, 0.0) == 0.0
+        for g in [1.0] if family is Family.EXPONENTIAL else [0.5, 1.0, 2.0]:
+            spec = HazardSpec(family, g, 0.7)
+            assert cumulative_hazard(spec, 0.0) == 0.0
+            assert decomposition(spec).b_at(0.0) == 1.0
 
 
 def test_gamma_hazard_matches_density_over_survival():
@@ -142,6 +146,17 @@ def test_b_factor_tends_to_one():
                  HazardSpec(Family.LOGLOGISTIC, 1.5, 3.0)):
         b = float(decomposition(spec).b_at(1e-8))
         assert abs(b - 1.0) < 1e-6
+
+
+@pytest.mark.parametrize("family", ALL_FAMILIES)
+def test_b_factor_checks_its_time_and_returns_floats_for_scalars(family):
+    b_at = decomposition(HazardSpec(
+        family, 1.0 if family is Family.EXPONENTIAL else 1.5, 0.7)).b_at
+    for bad in (float("nan"), -1.0):
+        with pytest.raises(ValueError):
+            b_at(bad)
+    assert type(b_at(0.5)) is float
+    assert b_at(np.array([0.5, 1.0])).shape == (2,)
 
 
 def test_validate_family_reports():

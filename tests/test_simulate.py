@@ -152,6 +152,33 @@ def test_dataset_rows_equal_a_per_field_construction_from_the_table():
             float, int, bool, float, int, bool)
 
 
+def test_simulate_pair_is_the_one_pair_dataset_of_its_seed():
+    m = random_model(FrailtyKind.CORRELATED, np.random.default_rng(3))
+    seed = int(np.random.default_rng(8).integers(0, 2 ** 63))
+    assert simulate_pair(m, np.random.default_rng(8)) == simulate_dataset(
+        m, SimConfig(n_pairs=1, seed=seed))[0]
+    assert simulate_pair(m, 8, censoring_rate=0.4) == simulate_dataset(
+        m, SimConfig(n_pairs=1, seed=8, censoring_rate=0.4))[0]
+
+
+@pytest.mark.parametrize("seed, rate", [
+    (1, -1.0), (1, np.nan), (2.7, 0.0), (True, 0.0)])
+def test_simulate_pair_checks_its_seed_and_censoring_rate(seed, rate):
+    with pytest.raises(ValueError):
+        simulate_pair(exp_model([1.0]), seed, censoring_rate=rate)
+
+
+@pytest.mark.parametrize("threads", [0, -3, 2.5, True])
+def test_simulation_rejects_a_thread_count_below_one_or_not_an_integer(
+        threads):
+    m, cfg = exp_model([1.0]), SimConfig(n_pairs=10, seed=1)
+    for run in (simulate_table, simulate_dataset,
+                lambda m, cfg, threads: write_dataset_csv(
+                    m, cfg, io.StringIO(), threads=threads)):
+        with pytest.raises(ValueError, match="threads"):
+            run(m, cfg, threads=threads)
+
+
 @pytest.mark.parametrize("kwargs", [
     {"n_pairs": 2.5, "seed": 0},
     {"n_pairs": True, "seed": 0},
@@ -366,9 +393,9 @@ def test_load_inversion_is_exact_for_power_loads(g):
 def test_load_inversion_converges_in_a_few_newton_steps(monkeypatch):
     # the draw of a shard: exponential targets, one load per atom row
     calls = []
-    cumulative = hazards._cumulative_array
-    monkeypatch.setattr(hazards, "_cumulative_array",
-                        lambda sp, t: calls.append(t.size) or cumulative(sp, t))
+    kernel = hazards._hazard_and_cumulative
+    monkeypatch.setattr(hazards, "_hazard_and_cumulative",
+                        lambda sp, t: calls.append(t.size) or kernel(sp, t))
     specs = _LOAD_SPECS["mixed"]
     rng = np.random.default_rng(8)
     eps = rng.uniform(0.4, 2.0, size=(3, len(specs)))[
