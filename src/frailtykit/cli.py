@@ -148,11 +148,9 @@ def _default_fit_init(dataset, structure, num_atoms, family):
     causes = {1: np.array([o.j1 for o in dataset]),
               2: np.array([o.j2 for o in dataset])}
     hazards = {}
-    for k in (1, 2):
-        total = times[k].sum()
-        for j in range(1, structure.num_causes(k) + 1):
-            rate = max(float((causes[k] == j).sum()) / total, 1e-6)
-            hazards[(k, j)] = HazardSpec(family, 1.0, rate)
+    for k, j in structure.slots:
+        rate = max(float((causes[k] == j).sum()) / times[k].sum(), 1e-6)
+        hazards[(k, j)] = HazardSpec(family, 1.0, rate)
     d = structure.dimension
     if num_atoms == 1:
         atoms = np.ones((1, d))

@@ -10,6 +10,9 @@ which coordinate multiplies each (individual, cause) hazard:
 * ``correlated_cause_specific``: one per (individual, cause) (d = 2L,
   requires L1 = L2), laid out as (eps1_1..eps1_L, eps2_1..eps2_L)
 
+The layout is one table, ``_LAYOUTS``, which ``FrailtyStructure`` builds once;
+every dimension, cause count, coordinate and slot order reads it.
+
 The distribution itself is a finite mixture of positive atoms.  Finite
 mixtures are dense enough for every probe in this package, and they make the
 transform, tilt, and mixture operations exact finite sums.
@@ -53,52 +56,73 @@ class FrailtyKind(str, Enum):
     CORRELATED_CAUSE_SPECIFIC = "correlated_cause_specific"
 
 
+def _check_index(i, lo, hi, name):
+    """i as an int; ValueError unless it is an integer (not bool) in lo..hi."""
+    if (isinstance(i, (bool, np.bool_)) or not isinstance(i, (int, np.integer))
+            or not lo <= i <= hi):
+        raise ValueError(f"{name} must be an integer in {lo}..{hi}, got {i!r}")
+    return int(i)
+
+
+# The layout of each kind: whether it needs L1 = L2, and the coordinate of
+# cause j of individual k, given L1.
+_LAYOUTS = {
+    FrailtyKind.SHARED: (False, lambda k, j, l1: 0),
+    FrailtyKind.CORRELATED: (False, lambda k, j, l1: k - 1),
+    FrailtyKind.SHARED_CAUSE_SPECIFIC: (True, lambda k, j, l1: j - 1),
+    FrailtyKind.CORRELATED_CAUSE_SPECIFIC:
+        (True, lambda k, j, l1: (k - 1) * l1 + j - 1),
+}
+
+
 @dataclass(frozen=True)
 class FrailtyStructure:
+    """A kind, cause counts L1, L2 >= 1, and their layout from _LAYOUTS."""
+
     kind: FrailtyKind
     num_causes_1: int
     num_causes_2: int
 
     def __post_init__(self):
-        object.__setattr__(self, "kind", FrailtyKind(self.kind))
-        object.__setattr__(self, "num_causes_1", int(self.num_causes_1))
-        object.__setattr__(self, "num_causes_2", int(self.num_causes_2))
-        if self.num_causes_1 < 1 or self.num_causes_2 < 1:
-            raise ValueError("each individual needs at least one cause")
-        if self.kind in (FrailtyKind.SHARED_CAUSE_SPECIFIC,
-                         FrailtyKind.CORRELATED_CAUSE_SPECIFIC):
-            if self.num_causes_1 != self.num_causes_2:
-                raise ValueError(
-                    "cause-specific structures require equal cause counts")
+        kind = FrailtyKind(self.kind)
+        counts = [_check_index(n, 1, np.inf, f"cause count of individual {k}")
+                  for k, n in ((1, self.num_causes_1), (2, self.num_causes_2))]
+        equal_counts, coordinate = _LAYOUTS[kind]
+        if equal_counts and counts[0] != counts[1]:
+            raise ValueError(
+                "cause-specific structures require equal cause counts")
+        coords = tuple(
+            tuple(coordinate(k, j, counts[0]) for j in range(1, n + 1))
+            for k, n in zip((1, 2), counts))
+        slots = tuple((k, j) for k, n in zip((1, 2), counts)
+                      for j in range(1, n + 1))
+        for name, value in (("kind", kind), ("num_causes_1", counts[0]),
+                            ("num_causes_2", counts[1]), ("_coords", coords),
+                            ("_slots", slots),
+                            ("_dimension", 1 + max(map(max, coords)))):
+            object.__setattr__(self, name, value)
 
     @property
     def dimension(self):
-        if self.kind is FrailtyKind.SHARED:
-            return 1
-        if self.kind is FrailtyKind.CORRELATED:
-            return 2
-        if self.kind is FrailtyKind.SHARED_CAUSE_SPECIFIC:
-            return self.num_causes_1
-        return 2 * self.num_causes_1
+        return self._dimension
+
+    @property
+    def slots(self):
+        """The (individual, cause) pairs in packing order."""
+        return self._slots
+
+    def coordinates(self, k):
+        """The coordinates of causes 1..L_k of individual k."""
+        return self._coords[_check_index(k, 1, 2, "individual") - 1]
 
     def num_causes(self, k):
-        if k == 1:
-            return self.num_causes_1
-        if k == 2:
-            return self.num_causes_2
-        raise ValueError("individual index must be 1 or 2")
+        return len(self.coordinates(k))
 
     def coordinate_of(self, k, j):
         """Atom coordinate multiplying the hazard of cause j, individual k."""
-        if not 1 <= j <= self.num_causes(k):
-            raise ValueError(f"cause index {j} out of range for individual {k}")
-        if self.kind is FrailtyKind.SHARED:
-            return 0
-        if self.kind is FrailtyKind.CORRELATED:
-            return k - 1
-        if self.kind is FrailtyKind.SHARED_CAUSE_SPECIFIC:
-            return j - 1
-        return (k - 1) * self.num_causes_1 + (j - 1)
+        coords = self.coordinates(k)
+        return coords[_check_index(j, 1, len(coords),
+                                   f"cause of individual {k}") - 1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -153,14 +177,6 @@ def normalize_to_unit_mean(g):
     """Rescale every coordinate so its mixture mean is exactly 1."""
     means = coordinate_means(g)
     return DiscreteFrailty(g.structure, g.atoms / means, g.weights)
-
-
-def _check_index(i, lo, hi, name):
-    """i as an int; ValueError unless it is an integer (not bool) in lo..hi."""
-    if (isinstance(i, (bool, np.bool_)) or not isinstance(i, (int, np.integer))
-            or not lo <= i <= hi):
-        raise ValueError(f"{name} must be an integer in {lo}..{hi}, got {i!r}")
-    return int(i)
 
 
 def _transform_argument(g, s):
@@ -253,9 +269,7 @@ def expand_to_pair(g, atom_index):
 
 def expanded_matrix(g, k):
     """(num_atoms, L_k) matrix of per-cause multipliers for individual k."""
-    s = g.structure
-    cols = [s.coordinate_of(k, j) for j in range(1, s.num_causes(k) + 1)]
-    return g.atoms[:, cols]
+    return g.atoms[:, g.structure.coordinates(k)]
 
 
 def sample(g, rng, n):
@@ -301,7 +315,7 @@ def structure_from_dict(d):
         l1, l2 = d["l1"], d["l2"]
     except KeyError as exc:
         raise ValueError(f"structure missing key {exc}") from None
-    return FrailtyStructure(kind, int(l1), int(l2))
+    return FrailtyStructure(kind, l1, l2)
 
 
 def frailty_to_dict(g):
@@ -336,8 +350,8 @@ def frailty_from_dict(d, structure=None):
     except KeyError as exc:
         raise ValueError(f"frailty missing key {exc}") from None
     w = np.asarray(weights, dtype=float)
-    if w.ndim != 1 or w.size == 0 or np.any(w <= 0.0):
-        raise ValueError("weights must be a nonempty positive vector")
+    if w.ndim != 1 or w.size == 0 or not np.all((w > 0.0) & (w < np.inf)):
+        raise ValueError("weights must be a nonempty positive finite vector")
     g = DiscreteFrailty(structure, np.asarray(atoms, dtype=float), w / w.sum())
     if d.get("assert_mean_one", False):
         if np.any(np.abs(coordinate_means(g) - 1.0) > _MEAN_ONE_TOL):

@@ -237,7 +237,7 @@ def cumulative_hazard(spec, t):
 # about to leave the normal range and the load solver takes over.
 _INVERSE_TAIL_V = 700.0
 
-# Default bracket of the time solver: the smallest normal double and 1e300.
+# Bracket of the time solver: the smallest normal double and 1e300.
 _TIME_FLOOR = np.finfo(float).tiny
 _TIME_CEILING = 1e300
 # A Newton step this small ends the iteration: with quadratic convergence
@@ -246,25 +246,25 @@ _NEWTON_STEP_TOL = 1e-9
 _NEWTON_MAX_ITER = 200
 
 
-def _solve_time(fun, target, ceiling=_TIME_CEILING):
+def _solve_time(fun, target):
     """Times t with G(t) = target, elementwise, for an increasing G > 0.
 
     ``fun(t, idx)`` returns G(t) and dG/dt for the elements ``idx`` (indices
     into ``target``) that are still open; ``target`` is one-dimensional.
-    Safeguarded Newton on log G against log t from t = min(1, ceiling),
-    with log-log slope t G' / G.  Steps are taken as t * exp(step), so the
-    root keeps full relative precision at any magnitude.  Every evaluation
-    narrows a bracket [lo, up], which starts at the smallest normal double
-    and at ``ceiling``; a step that lands strictly outside the bracket, or
-    is not finite, bisects it geometrically instead.  An element stops once
+    Safeguarded Newton on log G against log t from t = 1, with log-log
+    slope t G' / G.  Steps are taken as t * exp(step), so the root keeps
+    full relative precision at any magnitude.  Every evaluation narrows a
+    bracket [lo, up], which starts at the smallest normal double and at
+    1e300; a step that lands strictly outside the bracket, or is not
+    finite, bisects it geometrically instead.  An element stops once
     a Newton step moves log t by at most 1e-9, or once its bracket closes
     to a few ulp.  A root below the smallest normal double comes back as
-    that double; a root at the ceiling raises RuntimeError.
+    that double; a root at 1e300 raises RuntimeError.
     """
     target = np.asarray(target, dtype=float)
-    t = np.full(target.shape, min(1.0, ceiling))
+    t = np.ones(target.shape)
     lo = np.full(t.shape, _TIME_FLOOR)
-    up = np.full(t.shape, ceiling)
+    up = np.full(t.shape, _TIME_CEILING)
     out = np.empty(t.shape)
     idx = np.arange(t.size)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
@@ -292,7 +292,7 @@ def _solve_time(fun, target, ceiling=_TIME_CEILING):
                 break
         else:
             raise RuntimeError("time solver did not converge")
-    if np.any(out > (1.0 - 1e-6) * ceiling):
+    if np.any(out > (1.0 - 1e-6) * _TIME_CEILING):
         raise RuntimeError("failed to bracket the root below the time ceiling")
     return out
 

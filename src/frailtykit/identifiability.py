@@ -45,6 +45,7 @@ import numpy as np
 
 from . import frailty as fr
 from . import model as md
+from ._quad import QuadratureError
 from .hazards import (
     Family,
     HazardSpec,
@@ -180,8 +181,7 @@ def limit_identity_check(m, times=(1e-2, 1e-4, 1e-6)):
         # individual k alone: the other individual's loads are H(0) = 0
         loads = (md.survival_load_vector(m, times, 0.0) if k == 1
                  else md.survival_load_vector(m, 0.0, times))
-        for j in range(1, m.num_causes(k) + 1):
-            coord = m.structure.coordinate_of(k, j)
+        for j, coord in enumerate(m.structure.coordinates(k), start=1):
             out[(k, j)] = tuple(
                 abs(fr.tilted_mean(m.frailty, coord, s) - 1.0) for s in loads)
     return out
@@ -284,35 +284,31 @@ def probe_report_to_dict(report):
 class _Parametrization:
     """Pack/unpack a model as an unconstrained vector.
 
-    Layout: per (k, j) slot a log-gamma (omitted for exponential hazards,
-    where gamma is pinned) and a log-alpha, then atom log-coordinates, then
-    num_atoms - 1 weight logits (the first logit is fixed at 0).  Unit-mean
-    renormalization inside ``unpack`` makes the mean constraint invisible to
-    the optimizer.
+    Layout: per slot of ``structure.slots`` a log-gamma (omitted for
+    exponential hazards, where gamma is pinned) and a log-alpha, then atom
+    log-coordinates, then num_atoms - 1 weight logits (the first logit is
+    fixed at 0).  Unit-mean renormalization inside ``unpack`` makes the
+    mean constraint invisible to the optimizer.
     """
 
     def __init__(self, template, enforce_unit_mean=True):
         self.structure = template.structure
-        self.slots = [
-            (k, j)
-            for k in (1, 2)
-            for j in range(1, template.num_causes(k) + 1)
-        ]
-        self.families = {key: template.hazard(*key).family for key in self.slots}
+        self.families = {key: template.hazard(*key).family
+                         for key in self.structure.slots}
         self.num_atoms = template.frailty.num_atoms
         self.dimension = template.frailty.dimension
         self.enforce_unit_mean = enforce_unit_mean
 
     @property
     def size(self):
-        n_hz = sum(_packed_size(self.families[s]) for s in self.slots)
+        n_hz = sum(_packed_size(fam) for fam in self.families.values())
         return n_hz + self.num_atoms * self.dimension + (self.num_atoms - 1)
 
     def pack(self, m):
         theta = []
-        for key in self.slots:
+        for key, fam in self.families.items():
             spec = m.hazard(*key)
-            if spec.family is not self.families[key]:
+            if spec.family is not fam:
                 raise ValueError("model families do not match the template")
             if spec.family is not Family.EXPONENTIAL:
                 theta.append(math.log(spec.gamma))
@@ -326,8 +322,7 @@ class _Parametrization:
         theta = np.asarray(theta, dtype=float)
         hazards = {}
         pos = 0
-        for key in self.slots:
-            fam = self.families[key]
+        for key, fam in self.families.items():
             if fam is Family.EXPONENTIAL:
                 gamma = 1.0
             else:
@@ -366,8 +361,8 @@ class _Parametrization:
         atoms, p = m.frailty.atoms, m.frailty.weights
         d_atoms = np.zeros(atoms.shape + d_weights.shape[1:])
         for k, de in zip((1, 2), d_eps):
-            for c in range(de.shape[1]):
-                d_atoms[:, self.structure.coordinate_of(k, c + 1)] += de[:, c]
+            for c, coord in enumerate(self.structure.coordinates(k)):
+                d_atoms[:, coord] += de[:, c]
         d_atoms = d_atoms.reshape(atoms.shape + (-1,))
         d_p = d_weights.reshape(p.size, -1)
         if self.enforce_unit_mean:
@@ -379,6 +374,11 @@ class _Parametrization:
                                (atoms[:, :, None] * d_atoms).reshape(
                                    atoms.size, -1),
                                d_logits]).T
+
+
+# What an evaluation raises at a trial point where the model cannot be
+# built or computed; the searches treat such a point as infeasible.
+_EVALUATION_FAILURES = (ValueError, ArithmeticError, QuadratureError)
 
 
 def _axis_simplex(x0, step):
@@ -413,7 +413,7 @@ def _restarted_simplex(objective, theta0, f0, budget, seed):
         evals += 1
         try:
             v = objective(x)
-        except (ValueError, FloatingPointError, OverflowError):
+        except _EVALUATION_FAILURES:
             return 1e50
         return v if np.isfinite(v) else 1e50
 
@@ -516,7 +516,7 @@ class _Residuals:
             with np.errstate(over="raise"):
                 model = self.par.unpack(theta)
             return evaluate(model, self.grid.t1_points, self.grid.t2_points)
-        except (ValueError, FloatingPointError, OverflowError):
+        except _EVALUATION_FAILURES:
             return None
 
     def __call__(self, theta):
@@ -676,6 +676,7 @@ def fit_mle(dataset, structure, num_atoms, init, budget=20000, seed=0):
     if init.frailty.num_atoms != num_atoms:
         raise ValueError("init atom count does not match num_atoms")
     budget = fr._check_index(budget, 1, math.inf, "budget")
+    seed = fr._check_index(seed, 0, 2 ** 64 - 1, "seed")
     times, causes, observed = _dataset_arrays(dataset, structure)
     n = times[1].size
     par = _Parametrization(init, enforce_unit_mean=True)

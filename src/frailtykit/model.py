@@ -95,12 +95,7 @@ class ModelSpec:
 
     def __post_init__(self):
         hz = dict(self.hazards)
-        expected = [
-            (k, j)
-            for k in (1, 2)
-            for j in range(1, self.structure.num_causes(k) + 1)
-        ]
-        if sorted(hz.keys()) != expected:
+        if tuple(sorted(hz)) != self.structure.slots:
             raise ValueError(
                 "hazards must contain exactly one spec per (individual, cause)")
         for key, spec in hz.items():
@@ -154,12 +149,6 @@ def _cause_index(m, k, j):
     return fr._check_index(j, 1, m.num_causes(k), f"cause of individual {k}") - 1
 
 
-def _check_individual(k):
-    """ValueError unless k names individual 1 or 2."""
-    if isinstance(k, (bool, np.bool_)) or k not in (1, 2):
-        raise ValueError(f"individual must be 1 or 2, got {k!r}")
-
-
 def _check_times(*times, positive=False):
     """ValueError unless every time is finite and nonnegative (positive)."""
     for t in times:
@@ -176,7 +165,6 @@ def conditional_hazard(m, k, j, t, pair_frailty):
 
 def conditional_survival(m, k, t, pair_frailty):
     """exp(-sum_j eps_j H_j(t)) for individual k given the frailty pair."""
-    _check_individual(k)
     _check_times(t)
     eps = _pair_eps(pair_frailty, k, m.num_causes(k))
     total = sum(e * cumulative_hazard(sp, t)
@@ -423,9 +411,8 @@ def _coordinate_loads(structure, hazards, t1, t2):
                                  np.asarray(t2, dtype=float))
     s = np.zeros(t1.shape + (structure.dimension,))
     for k, t in ((1, t1), (2, t2)):
-        for j in range(1, structure.num_causes(k) + 1):
-            s[..., structure.coordinate_of(k, j)] += cumulative_hazard(
-                hazards[(k, j)], t)
+        for j, c in enumerate(structure.coordinates(k), start=1):
+            s[..., c] += cumulative_hazard(hazards[(k, j)], t)
     return s
 
 
@@ -446,7 +433,7 @@ def joint_survival(m, t1, t2):
 
 def marginal_survival(m, k, t):
     """P(T_k > t)."""
-    _check_individual(k)
+    m.num_causes(k)  # ValueError unless k names individual 1 or 2
     return joint_survival(m, t, 0.0) if k == 1 else joint_survival(m, 0.0, t)
 
 
@@ -535,8 +522,7 @@ def model_to_dict(m):
     return {
         "structure": fr.structure_to_dict(m.structure),
         "hazards": {
-            str(k): [hazard_spec_to_dict(m.hazard(k, j))
-                     for j in range(1, m.num_causes(k) + 1)]
+            str(k): [hazard_spec_to_dict(spec) for spec in m.hazards_for(k)]
             for k in (1, 2)
         },
         "frailty": fr.frailty_to_dict(m.frailty),

@@ -103,6 +103,17 @@ def test_validate_flags_a_weibull_model_beyond_the_double_range(tmp_path,
     assert "validation failed: normalization" in out
 
 
+@pytest.mark.parametrize("count", [2.5, 2.0, True, "2", None, 0])
+def test_validate_rejects_a_cause_count_that_is_not_an_integer(tmp_path,
+                                                               capsys, count):
+    bad = json.loads(json.dumps(MODEL))
+    bad["structure"]["l1"] = count
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(bad))
+    assert run(["validate", "--model", str(p)]) == 2
+    assert "cause count of individual 1" in capsys.readouterr().err
+
+
 def test_simulate_deterministic_and_thread_invariant(files):
     out1 = files["dir"] / "a.csv"
     out2 = files["dir"] / "b.csv"

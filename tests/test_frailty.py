@@ -1,5 +1,7 @@
 """Discrete mixing distributions: layouts, transform, projections, IO."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -56,6 +58,63 @@ def test_coordinate_layout():
     assert s.coordinate_of(1, 2) == 0 and s.coordinate_of(2, 3) == 1
     s = FrailtyStructure(FrailtyKind.SHARED, 2, 2)
     assert s.coordinate_of(1, 1) == s.coordinate_of(2, 2) == 0
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+@pytest.mark.parametrize("l", [1, 2, 3, 4])
+def test_layout_matches_the_closed_forms(kind, l):
+    closed_form = {
+        FrailtyKind.SHARED: (1, lambda k, j: 0),
+        FrailtyKind.CORRELATED: (2, lambda k, j: k - 1),
+        FrailtyKind.SHARED_CAUSE_SPECIFIC: (l, lambda k, j: j - 1),
+        FrailtyKind.CORRELATED_CAUSE_SPECIFIC:
+            (2 * l, lambda k, j: (k - 1) * l + j - 1),
+    }
+    dimension, coordinate = closed_form[kind]
+    s = FrailtyStructure(kind, l, l)
+    slots = [(k, j) for k in (1, 2) for j in range(1, l + 1)]
+    assert s.dimension == dimension
+    assert list(s.slots) == slots
+    for k in (1, 2):
+        assert s.num_causes(k) == l
+        assert s.coordinates(k) == tuple(
+            coordinate(k, j) for j in range(1, l + 1))
+    for k, j in slots:
+        assert s.coordinate_of(k, j) == coordinate(k, j)
+        assert type(s.coordinate_of(k, j)) is int
+
+
+@pytest.mark.parametrize("count", [2.7, 2.0, True, "2", None, 0, -1])
+def test_cause_counts_must_be_integers_of_at_least_one(count):
+    for kind in ALL_KINDS:
+        with pytest.raises(ValueError, match="cause count"):
+            FrailtyStructure(kind, count, count)
+    with pytest.raises(ValueError, match="cause count"):
+        FrailtyStructure(FrailtyKind.SHARED, 2, count)
+    with pytest.raises(ValueError, match="cause count"):
+        structure_from_dict({"kind": "shared", "l1": count, "l2": 2})
+    s = FrailtyStructure(FrailtyKind.SHARED, np.int64(2), np.int64(3))
+    assert (type(s.num_causes_1), s.num_causes(2)) == (int, 3)
+
+
+@pytest.mark.parametrize("k", [1.0, 2.0, True, 0, 3, np.int64(3), "1"])
+def test_individual_index_must_be_1_or_2(k):
+    for kind in ALL_KINDS:
+        s = FrailtyStructure(kind, 2, 2)
+        for call in (s.num_causes, s.coordinates,
+                     lambda k: s.coordinate_of(k, 1)):
+            with pytest.raises(ValueError, match="individual"):
+                call(k)
+
+
+@pytest.mark.parametrize("j", [1.5, 2.0, True, 0, 3, -1])
+def test_cause_index_must_be_an_integer_in_range(j):
+    for kind in ALL_KINDS:
+        s = FrailtyStructure(kind, 2, 2)
+        with pytest.raises(ValueError, match="cause of individual 2"):
+            s.coordinate_of(2, j)
+    s = FrailtyStructure(FrailtyKind.CORRELATED_CAUSE_SPECIFIC, 2, 2)
+    assert s.coordinate_of(np.int64(2), np.int64(2)) == 3
 
 
 def test_normalize_examples():
@@ -218,6 +277,15 @@ def test_frailty_dict_round_trip_and_mean_handling():
         frailty_from_dict(
             {"atoms": [[2.0]], "weights": [1.0], "assert_mean_one": True},
             structure=structure)
+
+
+def test_infinite_weights_are_rejected_before_normalizing():
+    structure = FrailtyStructure(FrailtyKind.SHARED, 2, 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="weights"):
+            frailty_from_dict({"atoms": [[1.0], [2.0]],
+                               "weights": [np.inf, 1.0]}, structure=structure)
 
 
 def test_coordinate_means():

@@ -40,6 +40,7 @@ from frailtykit import (
 )
 from frailtykit import identifiability as ident
 from frailtykit import model as md
+from frailtykit._quad import QuadratureError
 from frailtykit.identifiability import (
     _Parametrization,
     _Residuals,
@@ -367,7 +368,7 @@ def test_recovery_budget_caps_every_grid_evaluation(benchmark_pair, budget,
     assert md.model_to_dict(res.model) == md.model_to_dict(best_model)
 
 
-@pytest.mark.parametrize("failure", ["raise", "nan"])
+@pytest.mark.parametrize("failure", ["raise", "nan", "quadrature"])
 def test_recovery_survives_points_where_the_grid_fails(benchmark_pair,
                                                        failure, monkeypatch):
     _, target = benchmark_pair
@@ -384,6 +385,8 @@ def test_recovery_survives_points_where_the_grid_fails(benchmark_pair,
             return real_grid(m, *args)
         if failure == "raise":
             raise FloatingPointError("overflow in a table")
+        if failure == "quadrature":
+            raise QuadratureError("worst error estimate nan")
         return np.full(tensor.shape, np.nan)
 
     monkeypatch.setattr(md, "joint_sub_distribution_grid", failing_grid)
@@ -549,7 +552,7 @@ def test_a_jacobian_that_does_not_fit_the_budget_is_not_started(
     assert (res.evaluations, len(tangents)) == (size + 1, 1)
 
 
-@pytest.mark.parametrize("failure", ["raise", "nan"])
+@pytest.mark.parametrize("failure", ["raise", "nan", "quadrature"])
 def test_a_jacobian_that_fails_ends_the_recovery_unconverged(
         benchmark_pair, failure, monkeypatch):
     _, target = benchmark_pair
@@ -560,6 +563,8 @@ def test_a_jacobian_that_fails_ends_the_recovery_unconverged(
     def failing_tangents(m, points):
         if failure == "raise":
             raise FloatingPointError("overflow in a tangent")
+        if failure == "quadrature":
+            raise QuadratureError("worst error estimate nan")
         d_hazards, d_eps, d_weights = real_tangents(m, points)
         return d_hazards * np.nan, d_eps, d_weights
 
@@ -710,6 +715,19 @@ def test_mle_runs_where_the_log_likelihood_is_positive():
         closed_form = n_j / times.sum()
         se = np.sqrt(n_j) / times.sum()
         assert abs(fit.model.hazard(1, j).alpha - closed_form) < 3.0 * se
+
+
+@pytest.mark.parametrize("seed", [2.7, -1, None, True, 2 ** 64])
+def test_mle_rejects_a_seed_that_is_not_a_nonnegative_integer(seed,
+                                                              monkeypatch):
+    m = shared([1.0], [1.0], [E(0.7), E(0.3)])
+    data = simulate_dataset(m, SimConfig(n_pairs=20, seed=3))
+    calls = []
+    monkeypatch.setattr(ident, "_dataset_arrays",
+                        lambda *args: calls.append(args))
+    with pytest.raises(ValueError, match="seed"):
+        fit_mle(data, m.structure, 1, m, budget=5, seed=seed)
+    assert calls == []
 
 
 def test_mle_rejects_an_empty_dataset():
