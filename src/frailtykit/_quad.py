@@ -106,10 +106,10 @@ def integrate(f, a, b, rel_tol=1e-9, abs_tol=1e-12, max_subdivisions=200):
     seg_width = hi - lo
     owner = np.arange(n_seg)
     val, err = gk15(f, lo, hi)
+    # one panel per segment: its sums are the panel's own
+    total, tot_err = val, err
     splits = np.zeros(n_seg, dtype=int)
     while True:
-        total = _segment_sums(val, owner, n_seg)
-        tot_err = _segment_sums(err, owner, n_seg)
         tol = np.maximum(abs_tol, rel_tol * np.abs(total))
         open_seg = ~np.all(tot_err <= tol, axis=1)
         if not open_seg.any():
@@ -139,30 +139,11 @@ def integrate(f, a, b, rel_tol=1e-9, abs_tol=1e-12, max_subdivisions=200):
         owner = np.concatenate([owner[keep], owner[fails], owner[fails]])
         val = np.concatenate([val[keep], new_val])
         err = np.concatenate([err[keep], new_err])
+        total = _segment_sums(val, owner, n_seg)
+        tot_err = _segment_sums(err, owner, n_seg)
     if scalar:
         return total[0], tot_err[0]
     return total, tot_err
-
-
-def substitute_power(f, power):
-    """The integrand f(v**power) * power * v**(power - 1) of the substitution
-    u = v**power, or f itself when power is 1.
-
-    Nodes where v**power underflows to 0 are moved to the smallest normal
-    number, so f is never asked for its value at the origin.
-    """
-    if power == 1.0:
-        return f
-
-    def transformed(v):
-        jac = power * v ** (power - 1.0)
-        u = np.maximum(v ** power, np.finfo(float).tiny)
-        vals = np.asarray(f(u), float)
-        if vals.ndim == 1:
-            vals = vals[:, None]
-        return vals * jac[:, None]
-
-    return transformed
 
 
 def integrate_power_substituted(f, upper, power, rel_tol=1e-9, abs_tol=1e-12,
@@ -171,6 +152,15 @@ def integrate_power_substituted(f, upper, power, rel_tol=1e-9, abs_tol=1e-12,
 
     Regularizes integrable endpoint singularities u**(g-1) at the origin when
     power = 1/min(g): the transformed integrand is bounded on the new interval.
+    Nodes where v**power underflows to 0 are moved to the smallest normal
+    number, so f is never asked for its value at the origin.
     """
-    return integrate(substitute_power(f, power), 0.0, upper ** (1.0 / power),
+    def transformed(v):
+        u = np.maximum(v ** power, np.finfo(float).tiny)
+        vals = np.asarray(f(u), float)
+        if vals.ndim == 1:
+            vals = vals[:, None]
+        return vals * (power * v ** (power - 1.0))[:, None]
+
+    return integrate(transformed, 0.0, upper ** (1.0 / power),
                      rel_tol, abs_tol, max_subdivisions)

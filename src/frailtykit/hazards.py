@@ -14,9 +14,10 @@ Families:
 * ``loglogistic``: h = alpha * gamma * t**(gamma-1) / (1 + alpha * t**gamma)
 
 All operations accept scalar or ndarray time arguments and return matching
-shapes; scalars come back as plain floats.  Every h, H and b comes from
-``_hazard_and_cumulative``, the one place each family's h and H are
-written; (L, n) arrays of several causes come from ``_stacked_rates``.
+shapes; scalars come back as plain floats.  Each family's log h and H are
+written once, in ``_log_hazard_and_cumulative``, and every h, H and b comes
+from ``_hazard_and_cumulative`` on top of it; (L, n) arrays of several
+causes come from ``_stacked_rates`` and ``_stacked_log_rates``.
 """
 
 from __future__ import annotations
@@ -99,27 +100,26 @@ def _unwrap(value, arr):
     return float(value) if arr.ndim == 0 else value
 
 
-# The kernel stays bare because it sits in every quadrature and root-finder
-# loop.  Its h and H overflow to inf past the double range, and at t = 0 its
-# h is 0 * inf or 1 / 0 (log-logistic and gamma at gamma <= 1, Weibull at
-# gamma < 1); numpy warns on both.  The callers that reach such times (the
-# public h, H and b, ``_stacked_rates``, ``_solve_time``) ignore those
-# warnings once around their kernel calls.
+# The kernels stay bare because they sit in every quadrature and root-finder
+# loop.  H and h overflow to inf past the double range, and at t = 0 h is
+# 0 * inf or 1 / 0 (log-logistic and gamma at gamma <= 1, Weibull at
+# gamma < 1) and log t is -inf; numpy warns on each.  The callers that reach
+# such times ignore those warnings once around their kernel calls.
 
 
-def _hazard_and_cumulative(spec, t):
-    """(h(t), H(t)) on a time array: the one place each family's h and H
-    are written.  The power families take their closed forms.  The
-    log-logistic family shares one log t: H = log(1 + alpha t**gamma) and
-    h = alpha gamma t**(gamma - 1) exp(-H).  The gamma family takes
-    H = -log Q and h = f / Q from one incomplete-gamma call."""
+def _log_hazard_and_cumulative(spec, t):
+    """(log h(t), H(t)) at positive times: the one place each family's h and
+    H are written, with log h in closed form, finite where h overflows.  The
+    log-logistic family shares one log t: H = log(1 + alpha t**gamma).  The
+    gamma family takes H = -log Q and log h = log f - log Q from one
+    incomplete-gamma call."""
     g, a = spec.gamma, spec.alpha
     if spec.family in (Family.WEIBULL, Family.EXPONENTIAL):
-        return a * g * t ** (g - 1.0), a * t ** g
+        return np.log(a * g) + (g - 1.0) * np.log(t), a * t ** g
     if spec.family is Family.LOGLOGISTIC:
         lt = np.log(t)
         cum = np.logaddexp(0.0, np.log(a) + g * lt)
-        return np.exp(np.log(a * g) + (g - 1.0) * lt - cum), cum
+        return np.log(a * g) + (g - 1.0) * lt - cum, cum
     # From x = 40 on (and past the continued fraction's x = s + 1 seam) the
     # exponential prefactors of f and Q cancel algebraically, leaving
     # h = 1 / (t * F_cf); forming f and Q there would cost a relative error
@@ -127,15 +127,28 @@ def _hazard_and_cumulative(spec, t):
     from scipy.special import gammaln
 
     x = a * t
-    log_q, q = _log_upper_and_upper(*np.broadcast_arrays(g, x))
+    log_q, _ = _log_upper_and_upper(np.full(x.shape, g), x)
     tail = x >= max(_HAZARD_CF_X, g + 1.0)
     body = ~tail
     xb = x[body]
-    h = np.empty(x.shape)
-    h[body] = a * np.exp((g - 1.0) * np.log(xb) - xb - gammaln(g)) / q[body]
+    # log x from log t: x = alpha t can be subnormal, with few digits left
+    log_x = np.log(a) + np.log(t[body])
+    log_h = np.empty(x.shape)
+    log_h[body] = (np.log(a) + (g - 1.0) * log_x - xb - gammaln(g)
+                   - log_q[body])
     if np.any(tail):
-        h[tail] = 1.0 / (t[tail] * cf_upper_sum(g, x[tail]))
-    return h, -log_q
+        log_h[tail] = -np.log(t[tail] * cf_upper_sum(g, x[tail]))
+    return log_h, -log_q
+
+
+def _hazard_and_cumulative(spec, t):
+    """(h(t), H(t)) on a time array: exp(log h), or for the power families
+    h = alpha gamma t**(gamma - 1), defined at t = 0 as well."""
+    g, a = spec.gamma, spec.alpha
+    if spec.family in (Family.WEIBULL, Family.EXPONENTIAL):
+        return a * g * t ** (g - 1.0), a * t ** g
+    log_h, cum = _log_hazard_and_cumulative(spec, t)
+    return np.exp(log_h), cum
 
 
 # Selections from the kernel.  They stay as functions because
@@ -189,14 +202,14 @@ def _hazard_tangents(spec, t):
         scale = 0.5 / _LOG_SHAPE_STEP
         d_h = (h * _log_ratio(hi[0], lo[0]) * scale, h * (g - a * t + t * h))
         d_cum = (cum * _log_ratio(hi[1], lo[1]) * scale, t * h)
-        return h, cum, np.stack(d_h), np.stack(d_cum)
+        return h, cum, np.array(d_h), np.array(d_cum)
     glt = g * np.log(t)
     if fam is Family.WEIBULL:
-        return (h, cum, np.stack([h * (1.0 + glt), h]),
-                np.stack([glt * cum, cum]))
+        return (h, cum, np.array([h * (1.0 + glt), h]),
+                np.array([glt * cum, cum]))
     sig, rest = -np.expm1(-cum), np.exp(-cum)
-    return (h, cum, np.stack([h * (1.0 + glt * rest), h * rest]),
-            np.stack([glt * sig, sig]))
+    return (h, cum, np.array([h * (1.0 + glt * rest), h * rest]),
+            np.array([glt * sig, sig]))
 
 
 def _rates_and_loads(specs, t):
@@ -213,7 +226,14 @@ def _stacked_rates(specs, t):
     """(L, n) arrays of h_j(t) and H_j(t), inf where t saturates them."""
     with np.errstate(over="ignore"):
         hs, cums = _rates_and_loads(specs, t)
-    return np.stack(hs), np.stack(cums)
+    return np.array(hs), np.array(cums)
+
+
+def _stacked_log_rates(specs, t):
+    """(L, n) arrays of log h_j(t) and H_j(t), H inf where t saturates it."""
+    with np.errstate(over="ignore"):
+        parts = [_log_hazard_and_cumulative(sp, t) for sp in specs]
+    return tuple(np.array(p) for p in zip(*parts))
 
 
 def hazard_rate(spec, t):

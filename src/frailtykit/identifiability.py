@@ -49,6 +49,7 @@ from ._quad import QuadratureError
 from .hazards import (
     Family,
     HazardSpec,
+    _TIME_FLOOR,
     _packed_size,
     _rates_and_loads,
     _solve_time,
@@ -123,7 +124,9 @@ def default_probe_grid(m, levels=DEFAULT_QUANTILE_LEVELS):
     sum_w p_w exp(-Lambda_w(t)), where Lambda_w sums eps * H over both
     individuals' causes at atom w; the derivative is
     G' = sum_w p_w lambda_w exp(-Lambda_w) / S with lambda_w the matching
-    sum of eps * h.  Levels must be finite and strictly inside (0, 1).
+    sum of eps * h.  Levels must be finite and strictly inside (0, 1), and
+    their quantiles above the smallest normal double, where the solver
+    stops.
     """
     lv = np.asarray(levels, dtype=float).reshape(-1)
     if not np.all((lv > 0.0) & (lv < 1.0)):
@@ -140,8 +143,22 @@ def default_probe_grid(m, levels=DEFAULT_QUANTILE_LEVELS):
         surv = weights @ damp
         return -np.log(surv), (weights @ (rate * damp)) / surv
 
-    pts = tuple(_solve_time(neg_log_survival, -np.log1p(-lv)))
-    return ProbeGrid(pts, pts)
+    target = -np.log1p(-lv)
+    pts = _solve_time(neg_log_survival, target)
+    # the solver stops a few ulp above its floor; a quantile below the
+    # floor has its level reached there already
+    if pts.min() < 2.0 * _TIME_FLOOR:
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            low = neg_log_survival(np.array([_TIME_FLOOR]), None)[0] >= target
+        if low.any():
+            hazards = {k: [f"{sp.family.value}({sp.gamma:g}, {sp.alpha:g})"
+                           for sp in m.hazards_for(k)] for k in (1, 2)}
+            raise ValueError(
+                f"first-failure quantiles at levels {lv[low].tolist()} of "
+                f"the {m.structure.kind.value} model with hazards {hazards} "
+                f"lie below the smallest normal double; pass an explicit "
+                f"probe grid")
+    return ProbeGrid(tuple(pts), tuple(pts))
 
 
 def _check_comparable(ma, mb):

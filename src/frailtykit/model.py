@@ -6,15 +6,15 @@ factorizes atom by atom into products of one-dimensional integrals, which is
 how everything here is computed; a brute-force double quadrature exists only
 in the test suite as an oracle.
 
-The sub-density f is the frailty mixture of the same conditional integrand,
-h_j eps_j exp(-sum_j' eps_j' H_j'), that the tables behind F integrate, so
-both share its guard: where the exponent saturates it is 0, not inf * 0.
-
-Time integrals run over segments split near dyadic levels of the baseline
-cumulative hazard, placed from one log-time grid evaluation, so mass
-concentrated many scales below the upper limit is never missed, and an
-endpoint substitution u = v**(1/gamma_min) regularizes the integrable
-singularity that gamma < 1 hazards put at the origin.
+The sub-density f is the frailty mixture of the conditional integrand
+h_j eps_j exp(-sum_j' eps_j' H_j') that the tables behind F integrate.  The
+tables integrate it in x = log t, where t h_j eps_j exp(...) is one
+exponential of log h and H: bounded for every shape, so the origin needs no
+substitution, and 0 where the exponent saturates.  Up to the time where the
+load reaches about abs_tol a table takes a closed form; past it, segments
+split near dyadic levels of the baseline cumulative hazard, placed from one
+log-time grid evaluation, so mass many scales below the upper limit is
+never missed.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from typing import Mapping
 import numpy as np
 
 from . import frailty as fr
-from ._quad import integrate, substitute_power
+from ._quad import integrate
 # _hazard_array is unused here but looked up on this module by bench/ tests
 from .hazards import _hazard_array  # noqa: F401
 from .hazards import (
@@ -35,6 +35,7 @@ from .hazards import (
     _packed_size,
     _rates_and_loads,
     _solve_total_load,
+    _stacked_log_rates,
     _stacked_rates,
     cumulative_hazard,
     hazard_rate,
@@ -172,6 +173,7 @@ def conditional_survival(m, k, t, pair_frailty):
     return np.exp(-total) if np.ndim(total) else float(np.exp(-total))
 
 
+_TINY = np.finfo(float).tiny
 # Dyadic levels of the total cumulative hazard stop at 2**54.
 _TOP_LEVEL_EXPONENT = 54
 # The grid of _total_level_time: points per binary decade of t, and decades.
@@ -195,7 +197,7 @@ def _total_level_time(specs, levels, hi):
         if log_h[1] != np.inf:
             break
         t = t * 2.0 ** -_GRID_OCTAVES
-    ok = np.isfinite(log_h) & (t >= np.finfo(float).tiny)
+    ok = np.isfinite(log_h) & (t >= _TINY)
     if ok.sum() < 2:
         return np.full(levels.shape, hi)
     lh, lt = log_h[ok], np.log(t[ok])
@@ -211,8 +213,8 @@ def _segment_points(specs, t_points, abs_tol):
     dyadic levels of the baseline total cumulative hazard, from one grid
     evaluation, so no scale of the integrand is skipped.
 
-    The levels start at the largest power of two not above abs_tol: below
-    it, the first segment carries at most about that much mass."""
+    The levels start at the largest power of two not above abs_tol; below
+    the first of them a table takes its closed-form head (``_head``)."""
     t_max = t_points[-1]
     first = np.frexp(abs_tol)[1] - 1
     levels = np.ldexp(1.0, np.arange(first, _TOP_LEVEL_EXPONENT + 1))
@@ -221,38 +223,50 @@ def _segment_points(specs, t_points, abs_tol):
     return np.unique(np.concatenate([np.asarray(t_points, float), extras]))
 
 
-def _integrand_values(hs, cums, eps):
-    """h_j(u) eps_wj exp(-sum_j' eps_wj' H_j'(u)) as an (L, W, n) array,
-    and the (W, n) exponentials, from the (L, n) hazards and cumulative
-    hazards at the points u and the (W, L) multipliers."""
-    damp = np.exp(-(eps @ cums))
-    # a saturated exponent kills the integrand even where the hazard
-    # itself has overflowed, so zero those points instead of inf * 0
-    with np.errstate(invalid="ignore"):
-        vals = hs[:, None, :] * eps.T[:, :, None] * damp[None, :, :]
-    return np.where(damp[None, :, :] == 0.0, 0.0, vals), damp
+def _head(eps, cums):
+    """The closed-form head of a table at times t, from the (L, m) H_j(t):
+    the (L, W, m) loads eps_j H_j, their (W, m) sum S and phi(S) =
+    -expm1(-S) / S.  The head of cause j is eps_j H_j phi(S), the mass by t
+    split in proportion to the loads: off by at most eps_j H_j S / 2, and
+    exact when one cause carries the load."""
+    loads = eps.T[:, :, None] * cums[:, None, :]
+    s = loads.sum(axis=0)
+    return loads, s, np.divide(-np.expm1(-s), s, out=np.ones_like(s),
+                               where=s > 0.0)
+
+
+def _log_time_values(x, log_hs, cums, eps):
+    """t h_j eps_wj exp(-sum_j' eps_wj' H_j') at t = exp(x) as an (L, W, n)
+    array, from the (L, n) log h and H: one exponential of its log, bounded
+    for every shape, and exp(-inf) = 0 where the exponent saturates."""
+    return np.exp((x + log_hs)[:, None, :] + np.log(eps).T[:, :, None]
+                  - (eps @ cums)[None])
 
 
 def _integrand(specs, eps):
-    """The integrand of a conditional table: u (n,) -> (n, L * W) values
-    of ``_integrand_values``, column j * W + w, and its column shape
-    (L, W)."""
+    """The integrand of a conditional table in x = log t, x (n,) -> (n, L * W)
+    values of ``_log_time_values`` in column j * W + w; its closed-form head
+    t (m,) -> (m, L * W) (``_head``); and the column shape (L, W)."""
     n_l, n_w = len(specs), eps.shape[0]
 
-    def f(u):
-        vals, _ = _integrand_values(*_stacked_rates(specs, u), eps)
+    def f(x):
+        vals = _log_time_values(x, *_stacked_log_rates(specs, np.exp(x)), eps)
         return vals.reshape(n_l * n_w, -1).T
 
-    return f, (n_l, n_w)
+    def head(t):
+        loads, _, phi = _head(eps, _stacked_rates(specs, t)[1])
+        return (loads * phi).reshape(n_l * n_w, -1).T
+
+    return f, head, (n_l, n_w)
 
 
 def _tangent_integrand(specs, eps):
-    """The integrand of a conditional table and of its derivatives, with
-    column shape (1 + P + L, L, W): the values of ``_integrand``, then their
-    derivatives in the P packed parameters of the specs in order
-    (``_hazard_tangents``), then one block per cause c whose column
-    j * W + w is the derivative of value j * W + w in eps[w, c].  Like
-    ``_integrand_values``, every value is 0 where the exponent has
+    """The integrand and head of a conditional table and of its derivatives,
+    as ``_integrand`` returns them, with column shape (1 + P + L, L, W): the
+    values of ``_integrand``, then their derivatives in the P packed
+    parameters of the specs in order (``_hazard_tangents``), then one block
+    per cause c whose column j * W + w is the derivative of value
+    j * W + w in eps[w, c].  Every value is 0 where the exponent has
     saturated.
     """
     n_l, n_w = len(specs), eps.shape[0]
@@ -260,37 +274,61 @@ def _tangent_integrand(specs, eps):
     n_p = cause.size
     e_c = eps[:, cause].T[:, :, None]
 
-    def f(u):
-        # h, H and their derivatives overflow to inf where u saturates them
+    def tangents(t):
+        # h, H and their derivatives overflow to inf where t saturates them
         with np.errstate(over="ignore", invalid="ignore"):
-            parts = [_hazard_tangents(sp, u) for sp in specs]
-            hs, cums = (np.stack([p[i] for p in parts]) for i in (0, 1))
-            dh, dcum = (np.concatenate([p[i] for p in parts]) for i in (2, 3))
-            vals, damp = _integrand_values(hs, cums, eps)
-            out = np.empty((1 + n_p + n_l,) + vals.shape)
-            out[0] = vals
-            d_haz, d_eps = out[1:1 + n_p], out[1 + n_p:]
-            # d(h_j eps_j damp) = dh_j eps_j damp - h_j eps_j damp d(eps . H)
+            parts = [_hazard_tangents(sp, t) for sp in specs]
+        return ([np.array([p[i] for p in parts]) for i in (0, 1)]
+                + [np.concatenate([p[i] for p in parts]) for i in (2, 3)])
+
+    def f(x):
+        t = np.exp(x)
+        hs, cums, dh, dcum = tangents(t)
+        vals = _log_time_values(x, _stacked_log_rates(specs, t)[0], cums, eps)
+        out = np.empty((1 + n_p + n_l,) + vals.shape)
+        out[0] = vals
+        d_haz, d_eps = out[1:1 + n_p], out[1 + n_p:]
+        # inf * 0 where the exponent saturates; those columns are zeroed
+        with np.errstate(over="ignore", invalid="ignore"):
+            t_damp = t * np.exp(-(eps @ cums))
+            # d(t h_j eps_j damp) = t dh_j eps_j damp - vals_j d(eps . H)
             np.multiply(vals[None], (e_c * -dcum[:, None])[:, None],
                         out=d_haz)
             for s, c in enumerate(cause):
-                d_haz[s, c] += e_c[s] * dh[s] * damp
+                d_haz[s, c] += e_c[s] * dh[s] * t_damp
             np.multiply(vals[None], -cums[:, None, None], out=d_eps)
             for c in range(n_l):
-                d_eps[c, c] += hs[c] * damp
-        if not damp.all():
-            out = np.where(damp == 0.0, 0.0, out)
-        return out.reshape(-1, u.size).T
+                d_eps[c, c] += hs[c] * t_damp
+        if not vals.all():
+            out = np.where(vals == 0.0, 0.0, out)
+        return out.reshape(-1, x.size).T
 
-    return f, (1 + n_p + n_l, n_l, n_w)
+    def head(t):
+        # value j moves by delta_jc phi + eps_j H_j phi'(S) per unit of the
+        # load of cause c, which moves by eps_c dH_s in its parameter s and
+        # by H_c in eps_c
+        _, cums, _, dcum = tangents(t)
+        loads, s, phi = _head(eps, cums)
+        d_phi = np.divide(np.exp(-s) - phi, s, out=np.full_like(s, -0.5),
+                          where=s > 0.0)
+        d_load = np.eye(n_l)[:, :, None, None] * phi + loads * d_phi
+        out = np.concatenate([(loads * phi)[None],
+                              (e_c * dcum[:, None])[:, None] * d_load[cause],
+                              cums[:, None, None, :] * d_load])
+        return out.reshape(-1, t.size).T
+
+    return f, head, (1 + n_p + n_l, n_l, n_w)
 
 
 def _table_segments(specs, t_points, q):
     """The checked time grid of a table and the segments it integrates.
 
-    Returns (ts, points, power, starts, ends, wide): the breakpoints, the
-    substitution power u = v**power (1/gamma_min when gamma_min < 1, else 1),
-    the transformed segment ends, and the mask of segments of nonzero width.
+    The head of the table runs to t_lo, the first time of the level ladder
+    of ``_segment_points`` (where the load is about abs_tol), but not below
+    the smallest normal double nor above the last requested time.  Returns
+    (ts, points, lo, starts, ends, wide): the requested times, the
+    breakpoints with t_lo at index lo, the log-time segments between the
+    breakpoints from t_lo on, and the mask of segments of nonzero width.
     """
     ts = np.asarray(t_points, dtype=float)
     if ts.ndim != 1 or ts.size == 0:
@@ -298,14 +336,14 @@ def _table_segments(specs, t_points, q):
     _check_times(ts, positive=True)
     if np.any(np.diff(ts) <= 0.0):
         raise ValueError("time grid must be strictly increasing")
-    gamma_min = min(sp.gamma for sp in specs)
-    power = 1.0 / gamma_min if gamma_min < 1.0 else 1.0
-    points = _segment_points(specs, ts, q.abs_tol)
-    ends = points ** (1.0 / power)
-    starts = np.concatenate([[0.0], ends[:-1]])
-    # distinct breakpoints can round to one transformed point; such a
-    # segment has zero width and contributes nothing
-    return ts, points, power, starts, ends, ends > starts
+    ladder = _segment_points(specs, ts[-1:], q.abs_tol)
+    t_lo = min(max(ladder[0], _TINY), ts[-1])
+    points = np.unique(np.concatenate([ts, ladder, [t_lo]]))
+    lo = int(np.searchsorted(points, t_lo))
+    x = np.log(points[lo:])
+    # distinct large breakpoints can share one log; such a segment has zero
+    # width and contributes nothing
+    return ts, points, lo, x[:-1], x[1:], x[1:] > x[:-1]
 
 
 def _cause_curves(specs, eps, t_points, q, integrand=_integrand):
@@ -317,18 +355,20 @@ def _cause_curves(specs, eps, t_points, q, integrand=_integrand):
     ``_tangent_integrand`` it returns the (1 + P + L, W, L, n) stack of
     that table and its derivatives instead.
 
-    All segments between breakpoints are integrated in one batched call,
-    under u = v**(1/gamma_min) when gamma_min < 1; a cumulative sum over
-    the segments gives the table.
+    Up to t_lo (``_table_segments``) the table is the integrand's closed
+    form head.  Past it, all segments between breakpoints are integrated in
+    x = log t in one batched call, and a cumulative sum over them, on top of
+    the head at t_lo, gives the table.
     """
     eps = np.asarray(eps, dtype=float)
-    ts, points, power, starts, ends, wide = _table_segments(specs, t_points, q)
-    f, shape = integrand(specs, eps)
+    ts, points, lo, starts, ends, wide = _table_segments(specs, t_points, q)
+    f, head, shape = integrand(specs, eps)
     vals = np.zeros((points.size, int(np.prod(shape))))
-    vals[wide], _ = integrate(substitute_power(f, power), starts[wide],
-                              ends[wide], q.rel_tol, q.abs_tol,
-                              q.max_subdivisions)
-    table = np.cumsum(vals, axis=0)[np.searchsorted(points, ts)]
+    vals[:lo + 1] = head(points[:lo + 1])
+    vals[lo + 1:][wide], _ = integrate(f, starts[wide], ends[wide], q.rel_tol,
+                                       q.abs_tol, q.max_subdivisions)
+    vals[lo:] = np.cumsum(vals[lo:], axis=0)
+    table = vals[np.searchsorted(points, ts)]
     return table.T.reshape(shape + (-1,)).swapaxes(-3, -2)
 
 
@@ -388,10 +428,15 @@ def marginal_sub_distribution(m, k, j, t, q=None):
 
 
 def _sub_densities(m, k, ts):
-    """(W, L_k, n) sub-densities of individual k given each atom at the
-    times ts (n,): the values of the table integrand, ``_integrand_values``."""
+    """(W, L_k, n) sub-densities h_j eps_wj exp(-sum_j' eps_wj' H_j') of
+    individual k given each atom at the times ts (n,), in product form.
+    A saturated exponent gives 0 even where h has overflowed, not inf * 0."""
     hs, cums = _stacked_rates(m.hazards_for(k), ts)
-    return _integrand_values(hs, cums, m.eps_matrix(k))[0].swapaxes(0, 1)
+    eps = m.eps_matrix(k)
+    damp = np.exp(-(eps @ cums))
+    with np.errstate(invalid="ignore"):
+        vals = hs[:, None, :] * eps.T[:, :, None] * damp
+    return np.where(damp == 0.0, 0.0, vals).swapaxes(0, 1)
 
 
 def marginal_sub_density(m, k, j, t):

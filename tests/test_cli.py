@@ -47,11 +47,22 @@ EXP_MODEL = {
 }
 
 
+# a shape so small that its first-failure quantiles, and most of its
+# cause-1 mass, lie below the smallest normal double
+SMALL_SHAPE_MODEL = {
+    "structure": {"kind": "shared", "l1": 2, "l2": 2},
+    "hazards": {k: [{"family": "weibull", "gamma": 0.01, "alpha": 1e6},
+                    {"family": "weibull", "gamma": 0.8, "alpha": 1.0}]
+                for k in ("1", "2")},
+    "frailty": {"atoms": [[0.6], [1.4]], "weights": [0.5, 0.5]},
+}
+
+
 @pytest.fixture
 def files(tmp_path):
     paths = {}
     for name, payload in (("m", MODEL), ("point", POINT_MODEL),
-                          ("exp", EXP_MODEL)):
+                          ("exp", EXP_MODEL), ("small", SMALL_SHAPE_MODEL)):
         p = tmp_path / f"{name}.json"
         p.write_text(json.dumps(payload))
         paths[name] = str(p)
@@ -239,6 +250,28 @@ def test_eval_file_matches_the_per_row_template(files):
                         x, y, i + 1, l + 1, big_f[i, l, a, b],
                         small_f[i, l, a, b]))
     assert out.read_bytes() == "".join(rows).encode("utf-8")
+
+
+def test_eval_gives_a_finite_grid_for_a_small_shape_model(files):
+    out = files["dir"] / "F.csv"
+    assert run(["eval", "--model", files["small"], "--grid", files["grid"],
+                "--out", str(out)]) == 0
+    rows = np.loadtxt(out, delimiter=",", skiprows=1)
+    assert rows.shape == (5 * 5 * 2 * 2, 6)
+    assert np.all(np.isfinite(rows))
+
+
+@pytest.mark.parametrize("command", ["probe", "recover"])
+def test_default_grid_below_the_double_range_exits_2(files, capsys, command):
+    args = (["--model-a", files["small"], "--model-b", files["small"]]
+            if command == "probe"
+            else ["--target", files["small"], "--init", files["small"]])
+    assert run([command, *args, "--out", str(files["dir"] / "r.json")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: first-failure quantiles at levels [0.1, ")
+    assert "shared model with hazards {1: ['weibull(0.01, 1e+06)'" in err
+    assert err.endswith("lie below the smallest normal double; pass an "
+                        "explicit probe grid\n")
 
 
 def test_probe_self_and_separated(files):

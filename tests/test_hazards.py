@@ -1,5 +1,7 @@
 """Hazard families: closed-form values, inverses, decomposition, validation."""
 
+import warnings
+
 import mpmath
 import numpy as np
 import pytest
@@ -243,6 +245,22 @@ def test_gamma_hazard_and_cumulative_match_mpmath(g):
         tol = 5e-14 if xi < 1e-3 else 1.5e-14
         assert abs(hi - h_ref) <= tol * h_ref, xi
         assert abs(ci - cum_ref) <= tol * cum_ref, xi
+
+
+@pytest.mark.parametrize("g, a", [(0.01, 1e-6), (0.02, 1.0), (0.05, 1e6)])
+def test_gamma_hazard_near_the_smallest_normal_double_matches_mpmath(g, a):
+    # at t = 2.2e-308 and alpha = 1e-6, x = alpha t is subnormal and
+    # alpha * exp(log f) overflowed, although h itself is finite
+    t = np.array([np.finfo(float).tiny, 1e-300, 1e-200])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        h = hazard_rate(HazardSpec(Family.GAMMA, g, a), t)
+    for ti, hi in zip(t, h):
+        with mpmath.workdps(30):
+            x = mpmath.mpf(a) * mpmath.mpf(ti)
+            ref = float(a * x ** (g - 1) * mpmath.exp(-x)
+                        / mpmath.gammainc(g, x))
+        assert np.isfinite(hi) and abs(hi - ref) <= 1e-12 * ref, ti
 
 
 @pytest.mark.parametrize("g", [0.3, 0.8, 1.6, 3.0, 6.0])

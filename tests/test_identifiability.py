@@ -831,3 +831,18 @@ def test_default_grid_quantiles_are_exact(benchmark_pair):
         grid = default_probe_grid(m, levels)
         for t, q in zip(grid.t1_points, levels):
             assert abs(1.0 - joint_survival(m, t, t) - q) <= 1e-14, (t, q)
+
+
+def test_default_grid_below_the_double_range_names_the_model_and_levels():
+    structure = FrailtyStructure(FrailtyKind.SHARED, 2, 2)
+    g = DiscreteFrailty(structure, [[0.6], [1.4]], [0.5, 0.5])
+    specs = [HazardSpec(Family.WEIBULL, 0.01, 1e6),
+             HazardSpec(Family.WEIBULL, 0.8, 1.0)]
+    m = ModelSpec.from_lists(structure, specs, specs, g)
+    with pytest.raises(ValueError) as err:
+        default_probe_grid(m)
+    assert str(err.value) == (
+        "first-failure quantiles at levels [0.1, 0.25, 0.5, 0.75, 0.9, 0.99] "
+        "of the shared model with hazards {1: ['weibull(0.01, 1e+06)', "
+        "'weibull(0.8, 1)'], 2: ['weibull(0.01, 1e+06)', 'weibull(0.8, 1)']} "
+        "lie below the smallest normal double; pass an explicit probe grid")

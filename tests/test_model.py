@@ -379,16 +379,17 @@ def test_tangent_pass_values_reproduce_the_adaptive_grid():
     assert families == set(ALL_FAMILIES)
 
 
-def test_tangent_pass_keeps_the_power_and_skips_zero_width_segments():
+def test_tangent_pass_skips_zero_width_segments():
     st = FrailtyStructure(FrailtyKind.SHARED, 2, 2)
     g = DiscreteFrailty(st, [[0.6], [1.4]], [0.5, 0.5])
     specs = [HazardSpec(Family.WEIBULL, 0.5, 1.0),
              HazardSpec(Family.GAMMA, 0.8, 0.7)]
     m = ModelSpec.from_lists(st, specs, specs[::-1], g)
-    # 0.7 and the next double share one transformed point under u = v**2
-    t1s = np.array([0.3, 0.7, np.nextafter(0.7, 1.0), 1.5])
-    _, _, power, _, _, wide = _table_segments(specs, t1s, DEFAULT_QUADRATURE)
-    assert power == 2.0 and not wide.all()
+    # 1e300 and the next double share one log, so one segment has zero width
+    t1s = np.array([0.3, 1.5, 1e300, np.nextafter(1e300, np.inf)])
+    assert np.log(t1s[2]) == np.log(t1s[3])
+    wide = _table_segments(specs, t1s, DEFAULT_QUADRATURE)[-1]
+    assert not wide.all()
     assert _tangent_pass_gap(m, t1s, [0.2, 0.9, 2.0]) <= 4.0
 
 
@@ -578,6 +579,29 @@ def test_breakpoints_cost_one_hazard_call_per_table(shared_two_atom,
             calls.clear()
             _segment_points(specs, ts, DEFAULT_QUADRATURE.abs_tol)
             assert len(calls) == 1
+
+
+SMALL_SHAPE_CAUSES = [W(0.01, 1e6), W(0.02, 1.0), W(0.05, 1e-6),
+                      G(0.01, 1e-6), G(0.02, 1.0), G(0.05, 1e6),
+                      LL(0.05, 1e6)]
+
+
+@pytest.mark.parametrize("spec", SMALL_SHAPE_CAUSES)
+def test_small_shape_tables_keep_the_mass_below_the_smallest_normal_double(
+        spec):
+    # quadrature-free oracle: per atom, sum_j F_j(t) = 1 - exp(-eps . H(t));
+    # at these shapes eps . H(2.2e-308) is far above the tolerance
+    structure = FrailtyStructure(FrailtyKind.SHARED, 2, 2)
+    g = DiscreteFrailty(structure, [[0.6], [1.4]], [0.5, 0.5])
+    specs = [spec, W(0.8, 1.0)]
+    m = ModelSpec.from_lists(structure, specs, specs, g)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        ts = np.geomspace(1e-300, time_horizon(m), 25)
+        table = sub_distribution_table(m, 1, ts)
+        cums = np.array([cumulative_hazard(sp, ts) for sp in specs])
+    exact = -np.expm1(-(m.eps_matrix(1) @ cums))
+    assert np.max(np.abs(table.sum(axis=1) - exact)) <= 1e-12
 
 
 SMALL_GAMMA_MODELS = [
