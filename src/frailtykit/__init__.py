@@ -75,6 +75,7 @@ from .model import (
 )
 from .simulate import (
     BivariateObservation,
+    ObservationColumns,
     SimConfig,
     dkw_bandwidth,
     read_dataset_csv,
@@ -151,6 +152,7 @@ __all__ = [
     "survival_load_vector",
     "time_horizon",
     "BivariateObservation",
+    "ObservationColumns",
     "SimConfig",
     "dkw_bandwidth",
     "read_dataset_csv",

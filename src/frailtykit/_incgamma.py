@@ -97,25 +97,36 @@ def gammainc_upper(s, x):
 
 
 def _log_upper_and_upper(s, x):
-    """(log Q, Q) for broadcast float arrays, unchecked; from x = 600 on Q
-    is exp(log Q), which underflows where log Q stays finite."""
+    """(log Q, Q) for a float array x and a scalar s or a float array of
+    x's shape, unchecked; from x = 600 on Q is exp(log Q), which underflows
+    where log Q stays finite.  A branch that holds every x runs on the whole
+    array, without gathers."""
     from scipy.special import gammainc, gammaincc, gammaln
 
+    def below(s, x):
+        p = gammainc(s, x)
+        return np.log1p(-p), 1.0 - p
+
+    def above(s, x):
+        q = gammaincc(s, x)
+        return np.log(q), q
+
+    def far(s, x):
+        log_q = s * np.log(x) - x - gammaln(s) + np.log(cf_upper_sum(s, x))
+        return log_q, np.exp(log_q)
+
+    low = x < s + 1.0
+    tail = ~low & (x >= _LOG_TAIL_X)
+    branches = ((below, low), (above, ~low & ~tail), (far, tail))
+    for branch, mask in branches:
+        if mask.all():
+            return branch(s, x)
     q = np.empty(x.shape)
     log_q = np.empty(x.shape)
-    low = x < s + 1.0
-    p = gammainc(s[low], x[low])
-    q[low] = 1.0 - p
-    log_q[low] = np.log1p(-p)
-    tail = ~low & (x >= _LOG_TAIL_X)
-    high = ~low & ~tail
-    q[high] = gammaincc(s[high], x[high])
-    log_q[high] = np.log(q[high])
-    if np.any(tail):
-        st, xt = s[tail], x[tail]
-        log_q[tail] = (st * np.log(xt) - xt - gammaln(st)
-                       + np.log(cf_upper_sum(st, xt)))
-        q[tail] = np.exp(log_q[tail])
+    for branch, mask in branches:
+        if mask.any():
+            part = s if np.ndim(s) == 0 else s[mask]
+            log_q[mask], q[mask] = branch(part, x[mask])
     return log_q, q
 
 

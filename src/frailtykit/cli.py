@@ -143,10 +143,8 @@ def _cmd_recover(args):
 def _default_fit_init(dataset, structure, num_atoms, family):
     """Moment-style starting point: per-cause exponential rates, a geometric
     atom spread around 1, equal weights."""
-    times = {1: np.array([o.t1 for o in dataset]),
-             2: np.array([o.t2 for o in dataset])}
-    causes = {1: np.array([o.j1 for o in dataset]),
-              2: np.array([o.j2 for o in dataset])}
+    times = {k: dataset.columns[f"t{k}"] for k in (1, 2)}
+    causes = {k: dataset.columns[f"j{k}"] for k in (1, 2)}
     hazards = {}
     for k, j in structure.slots:
         rate = max(float((causes[k] == j).sum()) / times[k].sum(), 1e-6)
@@ -167,8 +165,7 @@ def _infer_structure(kind_name, dataset):
         kind = fr.FrailtyKind(kind_name)
     except ValueError:
         raise _InputError(f"unknown structure {kind_name!r}")
-    l1 = max((o.j1 for o in dataset), default=0)
-    l2 = max((o.j2 for o in dataset), default=0)
+    l1, l2 = (int(dataset.columns[f"j{k}"].max(initial=0)) for k in (1, 2))
     if l1 < 1 or l2 < 1:
         raise _InputError("dataset has no complete events to infer causes from")
     # the cause-specific layouts require equal cause counts; an unlucky

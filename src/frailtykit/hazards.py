@@ -118,7 +118,10 @@ def _log_hazard_and_cumulative(spec, t):
         return np.log(a * g) + (g - 1.0) * np.log(t), a * t ** g
     if spec.family is Family.LOGLOGISTIC:
         lt = np.log(t)
-        cum = np.logaddexp(0.0, np.log(a) + g * lt)
+        # log(1 + e**z) in vectorized exp and log1p; np.logaddexp runs a
+        # scalar loop
+        z = np.log(a) + g * lt
+        cum = np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z)))
         return np.log(a * g) + (g - 1.0) * lt - cum, cum
     # From x = 40 on (and past the continued fraction's x = s + 1 seam) the
     # exponential prefactors of f and Q cancel algebraically, leaving
@@ -127,16 +130,14 @@ def _log_hazard_and_cumulative(spec, t):
     from scipy.special import gammaln
 
     x = a * t
-    log_q, _ = _log_upper_and_upper(np.full(x.shape, g), x)
-    tail = x >= max(_HAZARD_CF_X, g + 1.0)
-    body = ~tail
-    xb = x[body]
+    log_q, _ = _log_upper_and_upper(g, x)
     # log x from log t: x = alpha t can be subnormal, with few digits left
-    log_x = np.log(a) + np.log(t[body])
-    log_h = np.empty(x.shape)
-    log_h[body] = (np.log(a) + (g - 1.0) * log_x - xb - gammaln(g)
-                   - log_q[body])
-    if np.any(tail):
+    log_x = np.log(a) + np.log(t)
+    log_h = np.log(a) + (g - 1.0) * log_x - x - gammaln(g) - log_q
+    tail = x >= max(_HAZARD_CF_X, g + 1.0)
+    if tail.any():
+        # a 0-d time gives a scalar log h
+        log_h = np.asarray(log_h)
         log_h[tail] = -np.log(t[tail] * cf_upper_sum(g, x[tail]))
     return log_h, -log_q
 
@@ -278,8 +279,9 @@ def _solve_time(fun, target):
     1e300; a step that lands strictly outside the bracket, or is not
     finite, bisects it geometrically instead.  An element stops once
     a Newton step moves log t by at most 1e-9, or once its bracket closes
-    to a few ulp.  A root below the smallest normal double comes back as
-    that double; a root at 1e300 raises RuntimeError.
+    to a few ulp.  A root below the smallest normal double comes back a
+    few ulp above that double, as 2.225073858507202e-308 for instance; a
+    root at 1e300 raises RuntimeError.
     """
     target = np.asarray(target, dtype=float)
     t = np.ones(target.shape)

@@ -53,9 +53,10 @@ from .hazards import (
     _packed_size,
     _rates_and_loads,
     _solve_time,
-    _stacked_rates,
+    _stacked_log_rates,
     inverse_cumulative_hazard,
 )
+from .simulate import _observation_columns
 
 __all__ = [
     "Verdict",
@@ -641,36 +642,52 @@ class FitResult:
 def _dataset_arrays(dataset, structure):
     """Per individual k, built once per fit: the times, the 0-based causes,
     and each pair's flat index into a C-ordered (causes, n) array."""
-    cols = np.array([(o.t1, o.t2, o.j1, o.j2) for o in dataset], float).T.copy()
-    if not cols.size:
+    cols = _observation_columns(dataset)
+    n = cols["t1"].size
+    if not n:
         raise ValueError("maximum-likelihood fitting needs at least one pair")
-    if np.any(cols[2:] == 0):
+    if np.any(cols["j1"] == 0) or np.any(cols["j2"] == 0):
         raise ValueError("maximum-likelihood fitting needs complete data")
-    n = cols.shape[1]
-    causes = {k: cols[k + 1].astype(np.int64) - 1 for k in (1, 2)}
+    causes = {k: cols[f"j{k}"] - 1 for k in (1, 2)}
     if any(np.any(causes[k] >= structure.num_causes(k)) for k in (1, 2)):
         raise ValueError("dataset contains cause labels beyond the model")
-    return ({k: cols[k - 1] for k in (1, 2)}, causes,
+    return ({k: cols[f"t{k}"] for k in (1, 2)}, causes,
             {k: c * n + np.arange(n) for k, c in causes.items()})
 
 
-def _log_likelihood(m, times, causes, observed):
+def _reused_log_rates(specs, t, previous):
+    """``_stacked_log_rates(specs, t)``, reusing the rows of every spec
+    found in ``previous``: the dict this function left on its last call
+    with the same t, which then holds this call's rows."""
+    rows = {sp: previous[sp] if sp in previous else _stacked_log_rates([sp], t)
+            for sp in specs}
+    previous.clear()
+    previous.update(rows)
+    return tuple(np.concatenate(part) for part in zip(*map(rows.get, specs)))
+
+
+def _log_likelihood(m, times, causes, observed, reuse=None):
     """Sum over pairs of log joint sub-density, vectorized over the data.
 
     The (atoms, n) log-mixture terms are kept C-ordered: ``np.take`` and
     ``@`` give C order, while fancy indexing the Fortran-ordered
     ``eps_matrix`` gives a Fortran-ordered gather that is slow to build and
     to combine, and whose reductions over atoms run n short loops.  A pair
-    whose terms are all -inf gets -inf, even where a saturated time makes
-    its log h inf.
+    whose terms are all -inf gets -inf; log h is finite where h overflows.
+
+    ``reuse``, a dict that one fit passes to each of its calls, keeps each
+    individual's hazard rows of the last call, so that a hazard whose spec
+    is unchanged is not evaluated again; the value does not depend on it.
     """
+    reuse = {} if reuse is None else reuse
     terms = log_h = 0.0
-    # a saturated time overflows h and H, and BLAS flags its inf load invalid
+    # a saturated time overflows H, and BLAS flags its inf load invalid
     with np.errstate(over="ignore", invalid="ignore"):
         for k in (1, 2):
-            hs, cums = _stacked_rates(m.hazards_for(k), times[k])
+            log_hs, cums = _reused_log_rates(m.hazards_for(k), times[k],
+                                             reuse.setdefault(k, {}))
             eps = m.eps_matrix(k)
-            log_h = log_h + np.log(np.take(hs, observed[k]))
+            log_h = log_h + np.take(log_hs, observed[k])
             terms = terms + (np.take(np.log(eps), causes[k], axis=1)
                              - eps @ cums)
     terms = terms + np.log(m.frailty.weights)[:, None]
@@ -697,10 +714,12 @@ def fit_mle(dataset, structure, num_atoms, init, budget=20000, seed=0):
     times, causes, observed = _dataset_arrays(dataset, structure)
     n = times[1].size
     par = _Parametrization(init, enforce_unit_mean=True)
+    # Nelder-Mead's axis simplex moves one hazard slot at a time
+    reuse = {}
 
     def objective(theta):
         model = par.unpack(theta)
-        return -_log_likelihood(model, times, causes, observed) / n
+        return -_log_likelihood(model, times, causes, observed, reuse) / n
 
     theta0 = par.pack(init)
     f0 = objective(theta0)

@@ -15,6 +15,7 @@ many worker threads execute the shards.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 
@@ -26,6 +27,7 @@ from .hazards import _solve_total_load, _stacked_rates
 __all__ = [
     "SimConfig",
     "BivariateObservation",
+    "ObservationColumns",
     "simulate_pair",
     "simulate_dataset",
     "simulate_table",
@@ -207,10 +209,118 @@ def write_dataset_csv(m, cfg, path, record_atoms=False, threads=1):
     return cfg.n_pairs
 
 
-def read_dataset_csv(path):
-    """Parse a dataset CSV back into observations.
+# The column dtypes of ObservationColumns, in BivariateObservation's order.
+_COLUMN_TYPES = {"t1": float, "j1": np.int64, "d1": bool,
+                 "t2": float, "j2": np.int64, "d2": bool}
 
-    Raises ValueError with a 1-based line number on any malformed row.
+
+class ObservationColumns(Sequence):
+    """A dataset held as t/j/d column arrays, read-only: a sequence of the
+    ``BivariateObservation``s of its rows, built on access, equal to a list
+    of the same observations.  ``columns`` maps each field name of
+    ``BivariateObservation`` to its array: float times, int64 causes and
+    bool censoring flags."""
+
+    def __init__(self, columns):
+        self.columns = {key: np.asarray(columns[key], dtype=dtype)
+                        for key, dtype in _COLUMN_TYPES.items()}
+        for col in self.columns.values():
+            col.flags.writeable = False
+
+    def __len__(self):
+        return len(self.columns["t1"])
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return ObservationColumns(
+                {key: col[index] for key, col in self.columns.items()})
+        return BivariateObservation(
+            **{key: col[index].item() for key, col in self.columns.items()})
+
+    def __iter__(self):
+        return iter(_observations(self.columns))
+
+    def __repr__(self):
+        return f"ObservationColumns(<{len(self)} pairs>)"
+
+    def __eq__(self, other):
+        if isinstance(other, (list, ObservationColumns)):
+            return list(self) == list(other)
+        return NotImplemented
+
+
+def _observation_columns(dataset):
+    """The t/j/d columns of a dataset: its own for ``ObservationColumns``,
+    gathered from the observations of any other sequence."""
+    if not isinstance(dataset, ObservationColumns):
+        dataset = ObservationColumns(
+            {key: [getattr(o, key) for o in dataset] for key in _COLUMN_TYPES})
+    return dataset.columns
+
+
+def _checked_columns(rows):
+    """The columns of split data rows, or None where a row fails a check
+    of ``_checked_row``: parsed and checked a column at a time."""
+    if not rows:
+        return dict.fromkeys(_COLUMN_TYPES, [])
+    if min(map(len, rows)) < 7:
+        return None
+    _, t1, j1, d1, t2, j2, d2 = list(zip(*rows))[:7]
+    if not set(d1 + d2) <= _CSV_FLAGS.keys():
+        return None
+    try:
+        t1, t2 = (np.array(list(map(float, col))) for col in (t1, t2))
+        j1, j2 = (np.array(list(map(int, col)), dtype=np.int64)
+                  for col in (j1, j2))
+    except (ValueError, OverflowError):
+        return None
+    d1, d2 = np.array(d1) == "1", np.array(d2) == "1"
+    times_ok = (t1 > 0.0) & (t1 < math.inf) & (t2 > 0.0) & (t2 < math.inf)
+    causes_ok = ((j1 == 0) != d1) & ((j2 == 0) != d2) & (j1 >= 0) & (j2 >= 0)
+    if not (times_ok & causes_ok).all():
+        return None
+    return dict(zip(_COLUMN_TYPES, (t1, j1, d1, t2, j2, d2)))
+
+
+def _checked_row(parts):
+    """One data row as an observation; ValueError if it is malformed."""
+    if len(parts) < 7:
+        raise ValueError("expected at least 7 fields")
+    d1, d2 = _CSV_FLAGS.get(parts[3]), _CSV_FLAGS.get(parts[6])
+    if d1 is None or d2 is None:
+        raise ValueError("censoring flags must be 0 or 1")
+    obs = BivariateObservation(
+        t1=float(parts[1]), j1=int(parts[2]), d1=d1,
+        t2=float(parts[4]), j2=int(parts[5]), d2=d2)
+    if max(obs.j1, obs.j2) >= 2 ** 63:
+        raise ValueError("cause labels must be below 2**63")
+    return obs
+
+
+def _chunk_columns(lines, first_lineno):
+    """The columns of a run of data lines, the first at line first_lineno;
+    ValueError naming the line of the first malformed row."""
+    columns = _checked_columns(
+        [line.split(",") for line in lines if line.strip()])
+    if columns is not None:
+        return columns
+    # some row is malformed: check row by row, in line order, for its message
+    rows = []
+    for lineno, line in enumerate(lines, start=first_lineno):
+        if line.strip():
+            try:
+                rows.append(_checked_row(line.split(",")))
+            except ValueError as exc:
+                raise ValueError(f"line {lineno}: {exc}") from None
+    return _observation_columns(rows)
+
+
+def read_dataset_csv(path):
+    """Parse a dataset CSV into an ``ObservationColumns``.
+
+    Raises ValueError with the 1-based line number of the first malformed
+    row.  Rows are split and parsed SHARD_SIZE lines at a time, which bounds
+    the memory their fields take.
     """
     own = isinstance(path, (str, bytes)) or hasattr(path, "__fspath__")
     handle = open(path, "r", encoding="utf-8") if own else path
@@ -225,24 +335,11 @@ def read_dataset_csv(path):
     if tuple(header[:7]) != _CSV_COLUMNS:
         raise ValueError(
             f"line 1: expected header {','.join(_CSV_COLUMNS)}")
-    out = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        parts = line.split(",")
-        if len(parts) < 7:
-            raise ValueError(f"line {lineno}: expected at least 7 fields")
-        try:
-            d1, d2 = _CSV_FLAGS.get(parts[3]), _CSV_FLAGS.get(parts[6])
-            if d1 is None or d2 is None:
-                raise ValueError("censoring flags must be 0 or 1")
-            obs = BivariateObservation(
-                t1=float(parts[1]), j1=int(parts[2]), d1=d1,
-                t2=float(parts[4]), j2=int(parts[5]), d2=d2)
-        except ValueError as exc:
-            raise ValueError(f"line {lineno}: {exc}") from None
-        out.append(obs)
-    return out
+    # lines[0] is line 1, so lines[i] is line i + 1
+    chunks = [_chunk_columns(lines[i:i + SHARD_SIZE], i + 1)
+              for i in range(1, max(len(lines), 2), SHARD_SIZE)]
+    return ObservationColumns({key: np.concatenate([c[key] for c in chunks])
+                               for key in _COLUMN_TYPES})
 
 
 def dkw_bandwidth(n, delta):

@@ -21,9 +21,11 @@ from frailtykit import (
     inverse_cumulative_hazard,
     validate_family,
 )
+from frailtykit._incgamma import cf_upper_sum
 from frailtykit._quad import integrate_power_substituted
 from frailtykit.hazards import (_hazard_and_cumulative, _hazard_tangents,
-                                _rates_and_loads, _solve_total_load)
+                                _log_hazard_and_cumulative, _rates_and_loads,
+                                _solve_total_load)
 
 from helpers import ALL_FAMILIES, random_hazard
 
@@ -341,6 +343,81 @@ def test_hazard_tangents_match_mpmath(family, g):
                         continue
                     assert abs(got - ref) <= tols[name] * abs(ref), (
                         name, part, ti)
+
+
+@pytest.mark.parametrize("g", [0.6, 2.5])
+def test_loglogistic_kernel_matches_mpmath_across_the_log_power_range(g):
+    # z = log alpha + gamma log t from -745 to 745 where t is a normal
+    # double, and saturating times where alpha t**gamma overflows while
+    # H = log(1 + alpha t**gamma) stays finite; a few ulp times |z|, as for
+    # the closed forms' tangents above, plus two subnormal steps where H
+    # leaves the normal range
+    a = 0.7
+    z = np.linspace(-745.0, 745.0, 149)
+    with np.errstate(over="ignore", under="ignore"):
+        t = np.exp((z - np.log(a)) / g)
+    t = t[(t >= np.finfo(float).tiny) & (t < np.inf)]
+    t = np.concatenate([t, [1e200, 1e300, np.finfo(float).max]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        log_h, cum = _log_hazard_and_cumulative(
+            HazardSpec(Family.LOGLOGISTIC, g, a), t)
+    floor = 2 * np.finfo(float).smallest_subnormal
+    with mpmath.workdps(50):
+        for ti, lhi, ci in zip(t, log_h, cum):
+            tm = mpmath.mpf(ti)
+            power = a * tm ** g
+            h_ref = a * g * tm ** (g - 1) / (1 + power)
+            cum_ref = float(mpmath.log1p(power))
+            assert abs(ci - cum_ref) <= 2e-13 * cum_ref + floor, ti
+            assert abs(lhi - float(mpmath.log(h_ref))) <= 2e-13 * max(
+                1.0, abs(float(mpmath.log(h_ref)))), ti
+            h = float(h_ref)
+            assert abs(np.exp(lhi) - h) <= 2e-13 * h + floor, ti
+
+
+def _masked_gamma_kernel(g, a, t):
+    """The gamma kernel in its masked form: each of the incomplete gamma's
+    branches, and the hazard's body and continued-fraction tail, formed on
+    its own elements only."""
+    x = a * t
+    s = np.full(x.shape, g)
+    log_q = np.empty(x.shape)
+    low = x < s + 1.0
+    log_q[low] = np.log1p(-special.gammainc(s[low], x[low]))
+    cf = ~low & (x >= 600.0)
+    high = ~low & ~cf
+    log_q[high] = np.log(special.gammaincc(s[high], x[high]))
+    st, xt = s[cf], x[cf]
+    log_q[cf] = (st * np.log(xt) - xt - special.gammaln(st)
+                 + np.log(cf_upper_sum(st, xt)))
+    tail = x >= max(40.0, g + 1.0)
+    body = ~tail
+    log_h = np.empty(x.shape)
+    log_h[body] = (np.log(a) + (g - 1.0) * (np.log(a) + np.log(t[body]))
+                   - x[body] - special.gammaln(g) - log_q[body])
+    log_h[tail] = -np.log(t[tail] * cf_upper_sum(g, x[tail]))
+    return log_h, -log_q
+
+
+@pytest.mark.parametrize("g", [0.5, 2.5])
+@pytest.mark.parametrize("x", [
+    np.array(0.3), np.array(700.0), np.array([2.0]), np.array([45.0]),
+    np.geomspace(1e-8, 1.4, 50),
+    np.concatenate([np.geomspace(1e-8, 900.0, 60), [40.0, 600.0]]),
+    np.geomspace(40.0, 900.0, 30), np.geomspace(600.0, 2000.0, 10),
+], ids=["0-d below", "0-d above", "1 below", "1 above", "all below",
+        "mixed", "all above 40", "all above 600"])
+def test_gamma_kernel_matches_its_masked_form(g, x):
+    # whichever of the branches the times fill, the kernel keeps the
+    # shape and stays within 2 ulp of the branch-by-branch form
+    a = 0.7
+    t = x / a
+    got = _log_hazard_and_cumulative(HazardSpec(Family.GAMMA, g, a), t)
+    ref = _masked_gamma_kernel(g, a, t)
+    for part, want in zip(got, ref):
+        assert np.shape(part) == t.shape
+        assert np.all(np.abs(part - want) <= 2 * np.spacing(np.abs(want)))
 
 
 @pytest.mark.parametrize("family", ALL_FAMILIES)

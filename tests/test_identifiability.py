@@ -756,6 +756,47 @@ def test_mle_log_likelihood_is_the_summed_log_joint_sub_density():
     assert families == set(Family)
 
 
+def test_likelihood_reuses_unchanged_hazard_slots_bit_for_bit(monkeypatch):
+    # one fit's reuse state through a change of one slot, of the atoms only,
+    # of the weights only, and back to earlier specs: each value equals a
+    # fresh evaluation, and only the specs not in the last call are computed
+    st = FrailtyStructure(FrailtyKind.CORRELATED_CAUSE_SPECIFIC, 2, 2)
+    first = {(1, 1): HazardSpec(Family.GAMMA, 1.6, 0.8),
+             (1, 2): HazardSpec(Family.LOGLOGISTIC, 2.2, 0.5),
+             (2, 1): W(1.4, 0.6), (2, 2): E(0.4)}
+    moved = dict(first)
+    moved[1, 1] = HazardSpec(Family.GAMMA, 1.7, 0.8)
+    atoms = np.array([[0.5, 0.7, 0.6, 0.8], [1.6, 1.3, 1.7, 1.2]])
+
+    def model(hazards, shift=1.0, weights=(0.4, 0.6)):
+        g = DiscreteFrailty(st, atoms * shift, weights)
+        return ModelSpec(st, hazards, g, require_unit_mean=False)
+
+    truth = model(first)
+    arrays = _dataset_arrays(simulate_dataset(truth, SimConfig(300, 11)), st)
+    computed = []
+    real = ident._stacked_log_rates
+
+    def counting(specs, t):
+        computed.extend(specs)
+        return real(specs, t)
+
+    reuse = {}
+    steps = [(truth, list(first.values())),
+             (model(moved), [moved[1, 1]]),
+             (model(moved, shift=1.1), []),
+             (model(moved, 1.1, (0.3, 0.7)), []),
+             (model(first, 1.1, (0.3, 0.7)), [first[1, 1]]),
+             (truth, [])]
+    for m, fresh_specs in steps:
+        computed.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(ident, "_stacked_log_rates", counting)
+            value = _log_likelihood(m, *arrays, reuse)
+        assert computed == fresh_specs
+        assert value == _log_likelihood(m, *arrays)
+
+
 def test_log_likelihood_is_minus_inf_where_every_atom_term_is():
     # H = alpha t**2 overflows at t = 1e200, so every atom term of the first
     # pair is -inf; the log-sum-exp must give -inf, not -inf - -inf = nan

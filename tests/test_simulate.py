@@ -296,6 +296,71 @@ def test_csv_reader_rejects_non_finite_times_and_bad_flags(tmp_path):
     assert obs.d1 is True and obs.d2 is False
 
 
+def test_csv_reader_returns_a_read_only_sequence_of_observations(tmp_path):
+    m = exp_model([0.5, 0.5], atoms=((0.8,), (1.2,)), weights=(0.4, 0.6))
+    cfg = SimConfig(n_pairs=40, seed=8, censoring_rate=0.6)
+    path = tmp_path / "pairs.csv"
+    write_dataset_csv(m, cfg, str(path), record_atoms=True)
+    data = read_dataset_csv(str(path))
+    ref = simulate_dataset(m, cfg)
+    assert len(data) == 40 and bool(data)
+    assert list(data) == ref and data == ref and ref == data
+    assert data[0] == ref[0] and data[-1] == ref[-1]
+    assert data[3:7] == ref[3:7] and len(data[3:7]) == 4
+    assert data != ref[:-1] and data != tuple(ref)
+    with pytest.raises(IndexError):
+        data[40]
+    flags = [o.d1 for o in data] + [data[i].d2 for i in range(len(data))]
+    assert True in flags and False in flags
+    assert all(type(d) is bool for d in flags)
+    obs = data[5]
+    assert (type(obs.t1), type(obs.j1)) == (float, int)
+    with pytest.raises(ValueError):
+        data.columns["t1"][0] = 1.0
+    assert not hasattr(data, "append")
+
+
+@pytest.mark.parametrize("early, late", [
+    ("0,1.0,1,1,2.0,x,1", "0,zebra,1,1,2.0,1,1"),
+    ("0,zebra,1,1,2.0,1,1", "0,1.0,1,1,2.0,x,1"),
+    ("0,1.0,1,1,-2.0,1,1", "0,1.0,1,7,2.0,1,1"),
+    ("0,1.0,1,1,2.0,1,7", "0,1.0,1,1,2.0,1"),
+    ("0,1.0,-1,0,2.0,1,1", "0,1.0,1,1,nan,1,1"),
+])
+def test_csv_reader_reports_the_first_bad_row_in_line_order(tmp_path, early,
+                                                            late):
+    # bad values in different columns: the earlier line wins
+    path = tmp_path / "bad.csv"
+    good = "0,1.0,1,1,2.0,1,1\n"
+    path.write_text("pair_id,t1,j1,d1,t2,j2,d2\n" + good + early + "\n"
+                    + good + late + "\n")
+    with pytest.raises(ValueError, match="^line 3: "):
+        read_dataset_csv(str(path))
+
+
+def test_csv_reader_keeps_line_numbers_across_blank_lines(tmp_path):
+    path = tmp_path / "pairs.csv"
+    header = "pair_id,t1,j1,d1,t2,j2,d2\n"
+    path.write_text(header + "0,1.0,1,1,2.0,1,1\n\n  \n1,3.0,2,1,4.0,0,0\n")
+    assert read_dataset_csv(str(path)) == [
+        BivariateObservation(1.0, 1, True, 2.0, 1, True),
+        BivariateObservation(3.0, 2, True, 4.0, 0, False)]
+    path.write_text(header + "0,1.0,1,1,2.0,1,1\n\n  \n1,3.0,2,1,4.0,0,1\n")
+    with pytest.raises(ValueError, match="^line 5: cause 0"):
+        read_dataset_csv(str(path))
+    # a label that does not fit the int64 cause column
+    path.write_text(header + "\n0,1.0,1,1,2.0,%d,1\n" % 2 ** 63)
+    with pytest.raises(ValueError, match="^line 3: cause labels"):
+        read_dataset_csv(str(path))
+
+
+def test_csv_reader_reads_a_header_only_file_as_empty(tmp_path):
+    path = tmp_path / "pairs.csv"
+    path.write_text("pair_id,t1,j1,d1,t2,j2,d2\n\n")
+    data = read_dataset_csv(str(path))
+    assert len(data) == 0 and data == [] and list(data) == []
+
+
 def _bisected_load_root(specs, eps, target):
     """Reference root of sum_j eps[:, j] H_j(t) = target by bisection:
     first on log t between the smallest normal double and 1e300, then on t
