@@ -15,8 +15,9 @@ Families:
 
 All operations accept scalar or ndarray time arguments and return matching
 shapes; scalars come back as plain floats.  Each family's log h and H are
-written once, in ``_log_hazard_and_cumulative``, and every h, H and b comes
-from ``_hazard_and_cumulative`` on top of it; (L, n) arrays of several
+written once, in ``_log_hazard_and_cumulative``.  Every h, H and b comes
+from ``_hazard_and_cumulative`` on top of it, and log h, H and their
+parameter derivatives from ``_hazard_tangents``; (L, n) arrays of several
 causes come from ``_stacked_rates`` and ``_stacked_log_rates``.
 """
 
@@ -181,35 +182,36 @@ def _packed_size(family):
 
 
 def _hazard_tangents(spec, t):
-    """(h, H, dh, dH) on a time array of positive times: the values of
-    ``_hazard_and_cumulative`` and their derivatives in the packed
-    parameters of the spec (``_packed_size``), two (P, n) arrays.
+    """(log h, H, d log h, dH) on a time array of positive times: the values
+    of ``_log_hazard_and_cumulative``, from one call of it (three for the
+    gamma family), and their derivatives in the packed parameters of the
+    spec (``_packed_size``), two (P, n) arrays.
 
-    Exponential, Weibull and log-logistic hazards use closed forms; the
-    log-logistic ones go through sigma(z) = 1 - exp(-H) and exp(-H), with
-    z = log alpha + gamma log t, so nothing overflows.  The gamma family
-    takes dH/dlog alpha = t h and dh/dlog alpha = h (gamma - alpha t + t h),
-    and its log gamma slot by a central difference of log h and log H, so
-    the step error stays relative where x**gamma spans hundreds of decades.
-    """
-    h, cum = _hazard_and_cumulative(spec, t)
+    The other families use closed forms; the log-logistic ones go through
+    exp(-H) and 1 - exp(-H), so nothing overflows.  The gamma family takes
+    d log h/dlog alpha = gamma - alpha t + t h and dH/dlog alpha = t h, with
+    t h = exp(log t + log h), and its log gamma slot by a central difference
+    of log h and log H, so the step error stays relative where x**gamma
+    spans hundreds of decades."""
+    log_h, cum = _log_hazard_and_cumulative(spec, t)
     g, a = spec.gamma, spec.alpha
     fam = spec.family
     if fam is Family.EXPONENTIAL:
-        return h, cum, h[None], cum[None]
+        return log_h, cum, np.ones((1,) + t.shape), cum[None]
     if fam is Family.GAMMA:
-        lo, hi = (_hazard_and_cumulative(HazardSpec(fam, g * np.exp(s), a), t)
-                  for s in (-_LOG_SHAPE_STEP, _LOG_SHAPE_STEP))
+        lo, hi = (_log_hazard_and_cumulative(HazardSpec(fam, g * e, a), t)
+                  for e in np.exp([-_LOG_SHAPE_STEP, _LOG_SHAPE_STEP]))
         scale = 0.5 / _LOG_SHAPE_STEP
-        d_h = (h * _log_ratio(hi[0], lo[0]) * scale, h * (g - a * t + t * h))
-        d_cum = (cum * _log_ratio(hi[1], lo[1]) * scale, t * h)
-        return h, cum, np.array(d_h), np.array(d_cum)
+        t_h = np.exp(np.log(t) + log_h)
+        d_log_h = ((hi[0] - lo[0]) * scale, g - a * t + t_h)
+        d_cum = (cum * _log_ratio(hi[1], lo[1]) * scale, t_h)
+        return log_h, cum, np.array(d_log_h), np.array(d_cum)
     glt = g * np.log(t)
     if fam is Family.WEIBULL:
-        return (h, cum, np.array([h * (1.0 + glt), h]),
+        return (log_h, cum, np.array([1.0 + glt, np.ones(t.shape)]),
                 np.array([glt * cum, cum]))
     sig, rest = -np.expm1(-cum), np.exp(-cum)
-    return (h, cum, np.array([h * (1.0 + glt * rest), h * rest]),
+    return (log_h, cum, np.array([1.0 + glt * rest, rest]),
             np.array([glt * sig, sig]))
 
 

@@ -156,6 +156,13 @@ def _check_times(*times, positive=False):
         _as_time_array(t, allow_zero=not positive, name="times")
 
 
+def _check_scalar_times(*times, positive=False):
+    """``_check_times``, and ValueError on an array time as well."""
+    if any(np.ndim(t) for t in times):
+        raise ValueError("times must be scalars; grid functions take arrays")
+    _check_times(*times, positive=positive)
+
+
 def conditional_hazard(m, k, j, t, pair_frailty):
     """Cause-j hazard of individual k given the frailty pair."""
     col = _cause_index(m, k, j)
@@ -266,8 +273,9 @@ def _tangent_integrand(specs, eps):
     values of ``_integrand``, then their derivatives in the P packed
     parameters of the specs in order (``_hazard_tangents``), then one block
     per cause c whose column j * W + w is the derivative of value
-    j * W + w in eps[w, c].  Every value is 0 where the exponent has
-    saturated.
+    j * W + w in eps[w, c].  A derivative is its value times d log h_j -
+    d(eps . H) in a parameter of cause j and delta_jc / eps_c - H_c in
+    eps_c, from one kernel pass; 0 where the exponent saturates.
     """
     n_l, n_w = len(specs), eps.shape[0]
     cause = np.repeat(np.arange(n_l), [_packed_size(sp.family) for sp in specs])
@@ -275,30 +283,25 @@ def _tangent_integrand(specs, eps):
     e_c = eps[:, cause].T[:, :, None]
 
     def tangents(t):
-        # h, H and their derivatives overflow to inf where t saturates them
+        # H and its derivatives overflow to inf where t saturates them
         with np.errstate(over="ignore", invalid="ignore"):
             parts = [_hazard_tangents(sp, t) for sp in specs]
         return ([np.array([p[i] for p in parts]) for i in (0, 1)]
                 + [np.concatenate([p[i] for p in parts]) for i in (2, 3)])
 
     def f(x):
-        t = np.exp(x)
-        hs, cums, dh, dcum = tangents(t)
-        vals = _log_time_values(x, _stacked_log_rates(specs, t)[0], cums, eps)
+        log_hs, cums, d_log_h, dcum = tangents(np.exp(x))
+        vals = _log_time_values(x, log_hs, cums, eps)
         out = np.empty((1 + n_p + n_l,) + vals.shape)
         out[0] = vals
         d_haz, d_eps = out[1:1 + n_p], out[1 + n_p:]
-        # inf * 0 where the exponent saturates; those columns are zeroed
-        with np.errstate(over="ignore", invalid="ignore"):
-            t_damp = t * np.exp(-(eps @ cums))
-            # d(t h_j eps_j damp) = t dh_j eps_j damp - vals_j d(eps . H)
+        # 0 * inf where the exponent saturates; those columns are zeroed
+        with np.errstate(invalid="ignore"):
             np.multiply(vals[None], (e_c * -dcum[:, None])[:, None],
                         out=d_haz)
-            for s, c in enumerate(cause):
-                d_haz[s, c] += e_c[s] * dh[s] * t_damp
             np.multiply(vals[None], -cums[:, None, None], out=d_eps)
-            for c in range(n_l):
-                d_eps[c, c] += hs[c] * t_damp
+        d_haz[np.arange(n_p), cause] += vals[cause] * d_log_h[:, None]
+        d_eps[np.arange(n_l), np.arange(n_l)] += vals / eps.T[:, :, None]
         if not vals.all():
             out = np.where(vals == 0.0, 0.0, out)
         return out.reshape(-1, x.size).T
@@ -407,7 +410,7 @@ def sub_distribution_table(m, k, t_points, q=None):
 def conditional_sub_distribution(m, k, j, t, pair_frailty, q=None):
     """P(T_k <= t, J_k = j | frailty pair) by adaptive quadrature."""
     col = _cause_index(m, k, j)
-    _check_times(t)
+    _check_scalar_times(t)
     if t == 0.0:
         return 0.0
     q = q or DEFAULT_QUADRATURE
@@ -419,7 +422,7 @@ def conditional_sub_distribution(m, k, j, t, pair_frailty, q=None):
 def marginal_sub_distribution(m, k, j, t, q=None):
     """P(T_k <= t, J_k = j): the conditional value mixed over atoms."""
     col = _cause_index(m, k, j)
-    _check_times(t)
+    _check_scalar_times(t)
     if t == 0.0:
         return 0.0
     q = q or DEFAULT_QUADRATURE
@@ -486,6 +489,7 @@ def joint_sub_density(m, j1, j2, t1, t2):
     """Joint sub-density f_{j1 j2}(t1, t2) (exact finite sum)."""
     a = _cause_index(m, 1, j1)
     b = _cause_index(m, 2, j2)
+    _check_scalar_times(t1, t2, positive=True)
     grid = joint_sub_density_grid(m, [t1], [t2])
     return float(grid[a, b, 0, 0])
 
@@ -498,7 +502,7 @@ def joint_sub_distribution(m, j1, j2, t1, t2, q=None):
     """
     a = _cause_index(m, 1, j1)
     b = _cause_index(m, 2, j2)
-    _check_times(t1, t2)
+    _check_scalar_times(t1, t2)
     if t1 == 0.0 or t2 == 0.0:
         return 0.0
     return float(joint_sub_distribution_grid(m, [t1], [t2], q)[a, b, 0, 0])

@@ -319,14 +319,14 @@ def test_hazard_tangents_match_mpmath(family, g):
         t = np.concatenate([t, [c * f / a for c in (g + 1.0, 40.0, 600.0)
                                 for f in (1 - 1e-12, 1.0, 1 + 1e-12)]])
     spec = HazardSpec(family, g, a)
-    h, cum, dh, dcum = _hazard_tangents(spec, t)
-    assert np.array_equal(h, _hazard_and_cumulative(spec, t)[0])
-    assert np.array_equal(cum, _hazard_and_cumulative(spec, t)[1])
+    log_h, cum, dlogh, dcum = _hazard_tangents(spec, t)
+    assert np.array_equal(log_h, _log_hazard_and_cumulative(spec, t)[0])
+    assert np.array_equal(cum, _log_hazard_and_cumulative(spec, t)[1])
     slots = ["alpha"] if family is Family.EXPONENTIAL else ["gamma", "alpha"]
-    assert dh.shape == dcum.shape == (len(slots), t.size)
+    assert dlogh.shape == dcum.shape == (len(slots), t.size)
     # closed forms: a few ulp times |g log t|; gamma's log alpha slot
     # cancels gamma - a t + t h ~ 1 out of terms ~ x; its log gamma slot is
-    # a central difference of step 2e-5
+    # a central difference of step 2e-5.  Part 0 is d log h, part 1 dH.
     tols = {"gamma": 3e-8 if family is Family.GAMMA else 2e-13,
             "alpha": 1e-12 if family is Family.GAMMA else 2e-13}
     with mpmath.workdps(60):
@@ -335,9 +335,10 @@ def test_hazard_tangents_match_mpmath(family, g):
             for row, name in enumerate(slots):
                 def at(x, part):
                     args = dict(logs, **{name: x})
-                    return _mp_h_and_cum(family, args["gamma"], args["alpha"],
-                                         ti)[part]
-                for part, got in ((0, dh[row, i]), (1, dcum[row, i])):
+                    h, cum = _mp_h_and_cum(family, args["gamma"],
+                                           args["alpha"], ti)
+                    return mpmath.log(h) if part == 0 else cum
+                for part, got in ((0, dlogh[row, i]), (1, dcum[row, i])):
                     ref = float(mpmath.diff(lambda x: at(x, part), logs[name]))
                     if max(abs(ref), abs(got)) < 1e-290:
                         continue

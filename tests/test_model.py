@@ -42,7 +42,7 @@ from frailtykit import (
     time_horizon,
     tilted_mean,
 )
-from frailtykit import _quad
+from frailtykit import _quad, hazards
 from frailtykit import model as md
 from frailtykit.identifiability import default_probe_grid
 from frailtykit.model import (
@@ -604,6 +604,36 @@ def test_small_shape_tables_keep_the_mass_below_the_smallest_normal_double(
     assert np.max(np.abs(table.sum(axis=1) - exact)) <= 1e-12
 
 
+@pytest.mark.parametrize("spec", SMALL_SHAPE_CAUSES)
+def test_tangent_integrand_is_finite_where_the_hazard_overflows(spec):
+    # h of W(0.01, 1e6) overflows near the smallest normal double, where
+    # log h, the values and their derivatives are finite
+    specs, eps = [spec, W(0.8, 1.0)], np.array([[0.6, 0.6], [1.4, 1.4]])
+    x = np.log([1.07 * np.finfo(float).tiny])
+    got = _tangent_integrand(specs, eps)[0](x)
+    assert np.all(np.isfinite(got))
+    values = md._integrand(specs, eps)[0](x)
+    assert np.array_equal(got[:, :values.shape[1]], values)
+
+
+@pytest.mark.parametrize("specs", [[W(1.5, 0.5), W(0.8, 1.0)],
+                                   [E(0.5), W(1.3, 0.7), LL(0.6, 1.2)]])
+def test_tangent_integrand_makes_one_kernel_call_per_cause(specs,
+                                                           monkeypatch):
+    # values and derivatives from one kernel call per cause; a gamma cause
+    # would add the two shifted-shape calls of its central difference
+    calls = []
+    for name in ("_hazard_and_cumulative", "_log_hazard_and_cumulative"):
+        def counting(spec, t, real=getattr(hazards, name)):
+            calls.append(spec)
+            return real(spec, t)
+
+        monkeypatch.setattr(hazards, name, counting)
+    eps = np.array([[0.6] * len(specs), [1.4] * len(specs)])
+    _tangent_integrand(specs, eps)[0](np.linspace(-3.0, 2.0, 15))
+    assert calls == specs
+
+
 SMALL_GAMMA_MODELS = [
     ([LL(0.3, 1.0), G(0.3, 0.8)], [W(0.3, 1.2), E(0.5)]),
     ([W(0.1, 0.9), W(2.0, 0.4)], [G(0.5, 1.5), LL(0.2, 0.6)]),
@@ -783,6 +813,23 @@ def test_non_finite_times_raise(shared_two_atom, t):
     for call in _timed_calls(shared_two_atom, t):
         with pytest.raises(ValueError, match="finite"):
             call()
+
+
+@pytest.mark.parametrize("call", [
+    lambda m, t: joint_sub_density(m, 1, 1, t, t),
+    lambda m, t: joint_sub_distribution(m, 1, 1, t, t),
+    lambda m, t: marginal_sub_distribution(m, 1, 1, t),
+    lambda m, t: conditional_sub_distribution(m, 1, 1, t,
+                                              ([1.0, 1.0], [1.0, 1.0])),
+], ids=["joint_sub_density", "joint_sub_distribution",
+        "marginal_sub_distribution", "conditional_sub_distribution"])
+def test_scalar_entry_points_reject_array_times(shared_two_atom, call):
+    for t in ([0.5, 1.0], np.array([0.5]), [[0.5]]):
+        with pytest.raises(ValueError, match="times must be scalars"):
+            call(shared_two_atom, t)
+    value = call(shared_two_atom, 0.5)
+    assert call(shared_two_atom, np.float64(0.5)) == value
+    assert call(shared_two_atom, np.array(0.5)) == value
 
 
 def test_infinite_time_raises_at_once(shared_two_atom):
