@@ -1,12 +1,12 @@
 """Regularized upper incomplete gamma function.
 
-``_log_upper_and_upper`` forms Q(s, x) and log Q(s, x) from one call of
-scipy's ``gammainc`` or ``gammaincc`` (DiDonato & Morris, ACM TOMS 12(4),
-1986).  Below x = s + 1 both come from P: Q = 1 - P and log Q =
-``log1p(-P)``, accurate where Q is close to 1.  Above it Q is ``gammaincc``;
-from x = 600 on, where Q nears underflow, ``log Q`` is assembled in log space
-from Lentz's continued fraction, whose factor callers forming ratios
-(hazards) use to cancel the exponential prefactor algebraically.
+``_log_upper`` forms log Q(s, x), and only log Q, from one call of scipy's
+``gammainc`` or ``gammaincc`` (DiDonato & Morris, ACM TOMS 12(4), 1986).
+Below x = s + 1 it comes from P as ``log1p(-P)``, accurate where Q is close
+to 1.  Above it it is the log of ``gammaincc``; from x = 600 on, where Q
+nears underflow, log Q is assembled in log space from Lentz's continued
+fraction, whose factor callers forming ratios (hazards) use to cancel the
+exponential prefactor algebraically.  ``gammainc_upper`` returns Q itself.
 
 ``scipy.special`` is imported inside the functions that call it, so it
 loads on the first gamma-family evaluation, not with the package.
@@ -96,24 +96,20 @@ def gammainc_upper(s, x):
     return float(out) if out.ndim == 0 else out
 
 
-def _log_upper_and_upper(s, x):
-    """(log Q, Q) for a float array x and a scalar s or a float array of
-    x's shape, unchecked; from x = 600 on Q is exp(log Q), which underflows
-    where log Q stays finite.  A branch that holds every x runs on the whole
-    array, without gathers."""
+def _log_upper(s, x):
+    """log Q for a float array x and a scalar s or a float array of x's
+    shape, unchecked; Q itself is not formed.  A branch that holds every x
+    runs on the whole array, without gathers."""
     from scipy.special import gammainc, gammaincc, gammaln
 
     def below(s, x):
-        p = gammainc(s, x)
-        return np.log1p(-p), 1.0 - p
+        return np.log1p(-gammainc(s, x))
 
     def above(s, x):
-        q = gammaincc(s, x)
-        return np.log(q), q
+        return np.log(gammaincc(s, x))
 
     def far(s, x):
-        log_q = s * np.log(x) - x - gammaln(s) + np.log(cf_upper_sum(s, x))
-        return log_q, np.exp(log_q)
+        return s * np.log(x) - x - gammaln(s) + np.log(cf_upper_sum(s, x))
 
     low = x < s + 1.0
     tail = ~low & (x >= _LOG_TAIL_X)
@@ -121,16 +117,15 @@ def _log_upper_and_upper(s, x):
     for branch, mask in branches:
         if mask.all():
             return branch(s, x)
-    q = np.empty(x.shape)
     log_q = np.empty(x.shape)
     for branch, mask in branches:
         if mask.any():
             part = s if np.ndim(s) == 0 else s[mask]
-            log_q[mask], q[mask] = branch(part, x[mask])
-    return log_q, q
+            log_q[mask] = branch(part, x[mask])
+    return log_q
 
 
 def log_gammainc_upper(s, x):
     """log Q(s, x), finite far into the right tail where Q underflows."""
-    out = _log_upper_and_upper(*_checked(s, x))[0]
+    out = _log_upper(*_checked(s, x))
     return float(out) if out.ndim == 0 else out

@@ -20,6 +20,7 @@ transform, tilt, and mixture operations exact finite sums.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from enum import Enum
 
@@ -62,6 +63,12 @@ def _check_index(i, lo, hi, name):
             or not lo <= i <= hi):
         raise ValueError(f"{name} must be an integer in {lo}..{hi}, got {i!r}")
     return int(i)
+
+
+def _check_block(d, name):
+    """ValueError naming a dict loader's block unless it is a mapping."""
+    if not isinstance(d, Mapping):
+        raise ValueError(f"{name} must be an object, got {type(d).__name__}")
 
 
 # The layout of each kind: whether it needs L1 = L2, and the coordinate of
@@ -268,8 +275,9 @@ def expand_to_pair(g, atom_index):
 
 
 def expanded_matrix(g, k):
-    """(num_atoms, L_k) matrix of per-cause multipliers for individual k."""
-    return g.atoms[:, g.structure.coordinates(k)]
+    """C-ordered (num_atoms, L_k) per-cause multipliers of individual k:
+    BLAS flags inf loads invalid in products with a Fortran-ordered one."""
+    return np.ascontiguousarray(g.atoms[:, g.structure.coordinates(k)])
 
 
 def sample(g, rng, n):
@@ -305,6 +313,7 @@ def structure_to_dict(s):
 
 
 def structure_from_dict(d):
+    _check_block(d, "structure")
     try:
         kind = FrailtyKind(d["kind"])
     except KeyError:
@@ -337,6 +346,7 @@ def frailty_from_dict(d, structure=None):
     silently rescaled.  A structure given both in the dict and as an argument
     must agree; either alone suffices.
     """
+    _check_block(d, "frailty")
     if "structure" in d:
         parsed = structure_from_dict(d["structure"])
         if structure is not None and parsed != structure:

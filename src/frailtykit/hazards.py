@@ -29,7 +29,8 @@ from typing import Callable
 
 import numpy as np
 
-from ._incgamma import _log_upper_and_upper, cf_upper_sum
+from ._incgamma import _log_upper, cf_upper_sum
+from .frailty import _check_block
 
 __all__ = [
     "Family",
@@ -131,7 +132,7 @@ def _log_hazard_and_cumulative(spec, t):
     from scipy.special import gammaln
 
     x = a * t
-    log_q, _ = _log_upper_and_upper(g, x)
+    log_q = _log_upper(g, x)
     # log x from log t: x = alpha t can be subnormal, with few digits left
     log_x = np.log(a) + np.log(t)
     log_h = np.log(a) + (g - 1.0) * log_x - x - gammaln(g) - log_q
@@ -215,21 +216,11 @@ def _hazard_tangents(spec, t):
             np.array([glt * sig, sig]))
 
 
-def _rates_and_loads(specs, t):
-    """Per-cause lists [h_1(t), ..., h_L(t)] and [H_1(t), ..., H_L(t)]."""
-    rates, loads = [], []
-    for sp in specs:
-        h, cum = _hazard_and_cumulative(sp, t)
-        rates.append(h)
-        loads.append(cum)
-    return rates, loads
-
-
 def _stacked_rates(specs, t):
     """(L, n) arrays of h_j(t) and H_j(t), inf where t saturates them."""
     with np.errstate(over="ignore"):
-        hs, cums = _rates_and_loads(specs, t)
-    return np.array(hs), np.array(cums)
+        parts = [_hazard_and_cumulative(sp, t) for sp in specs]
+    return tuple(np.array(p) for p in zip(*parts))
 
 
 def _stacked_log_rates(specs, t):
@@ -330,10 +321,9 @@ def _solve_total_load(specs, eps, target):
     eps = np.asarray(eps, dtype=float)
 
     def load(t, idx):
-        e = eps[idx]
-        hs, cums = _rates_and_loads(specs, t)
-        return (sum(e[:, j] * c for j, c in enumerate(cums)),
-                sum(e[:, j] * h for j, h in enumerate(hs)))
+        e = eps[idx].T
+        hs, cums = _stacked_rates(specs, t)
+        return (e * cums).sum(axis=0), (e * hs).sum(axis=0)
 
     return _solve_time(load, target)
 
@@ -464,14 +454,17 @@ def hazard_spec_to_dict(spec):
 
 
 def hazard_spec_from_dict(d):
+    _check_block(d, "hazard spec")
     try:
-        family = d["family"]
-        gamma = d["gamma"]
-        alpha = d["alpha"]
+        family, gamma, alpha = d["family"], d["gamma"], d["alpha"]
     except KeyError as exc:
         raise ValueError(f"hazard spec missing key {exc}") from None
     try:
         fam = Family(family)
     except ValueError:
         raise ValueError(f"unknown hazard family {family!r}") from None
-    return HazardSpec(fam, float(gamma), float(alpha))
+    try:
+        return HazardSpec(fam, float(gamma), float(alpha))
+    except TypeError:
+        raise ValueError("hazard spec gamma and alpha must be numbers, got "
+                         f"{gamma!r} and {alpha!r}") from None

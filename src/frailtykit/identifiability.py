@@ -51,9 +51,9 @@ from .hazards import (
     HazardSpec,
     _TIME_FLOOR,
     _packed_size,
-    _rates_and_loads,
     _solve_time,
     _stacked_log_rates,
+    _stacked_rates,
     inverse_cumulative_hazard,
 )
 from .simulate import _observation_columns
@@ -125,22 +125,26 @@ def default_probe_grid(m, levels=DEFAULT_QUANTILE_LEVELS):
     sum_w p_w exp(-Lambda_w(t)), where Lambda_w sums eps * H over both
     individuals' causes at atom w; the derivative is
     G' = sum_w p_w lambda_w exp(-Lambda_w) / S with lambda_w the matching
-    sum of eps * h.  Levels must be finite and strictly inside (0, 1), and
-    their quantiles above the smallest normal double, where the solver
+    sum of eps * h.  Levels must be finite, strictly inside (0, 1) and a
+    strictly increasing sequence of at least 5 (a probe grid's minimum),
+    and their quantiles above the smallest normal double, where the solver
     stops.
     """
-    lv = np.asarray(levels, dtype=float).reshape(-1)
+    lv = np.asarray(levels, dtype=float)
     if not np.all((lv > 0.0) & (lv < 1.0)):
         raise ValueError(
             "quantile levels must be finite and strictly inside (0, 1)")
+    if lv.ndim != 1 or lv.size < 5 or np.any(np.diff(lv) <= 0.0):
+        raise ValueError("quantile levels must be a strictly increasing "
+                         f"sequence of at least 5, got {lv.tolist()}")
     weights = m.frailty.weights
     specs = m.hazards_for(1) + m.hazards_for(2)
     cols = np.hstack([m.eps_matrix(1), m.eps_matrix(2)]).T[:, :, None]
 
     def neg_log_survival(t, idx):
-        hs, cums = _rates_and_loads(specs, t)
-        damp = np.exp(-sum(e * c for e, c in zip(cols, cums)))
-        rate = sum(e * h for e, h in zip(cols, hs))
+        hs, cums = _stacked_rates(specs, t)
+        damp = np.exp(-(cols * cums[:, None]).sum(axis=0))
+        rate = (cols * hs[:, None]).sum(axis=0)
         surv = weights @ damp
         return -np.log(surv), (weights @ (rate * damp)) / surv
 
@@ -172,12 +176,8 @@ def per_pair_distances(ma, mb, grid, q=None):
     _check_comparable(ma, mb)
     fa = md.joint_sub_distribution_grid(ma, grid.t1_points, grid.t2_points, q)
     fb = md.joint_sub_distribution_grid(mb, grid.t1_points, grid.t2_points, q)
-    gap = np.abs(fa - fb)
-    return {
-        (j1 + 1, j2 + 1): float(np.max(gap[j1, j2]))
-        for j1 in range(gap.shape[0])
-        for j2 in range(gap.shape[1])
-    }
+    gap = np.abs(fa - fb).max(axis=(2, 3))
+    return {(a + 1, b + 1): float(v) for (a, b), v in np.ndenumerate(gap)}
 
 
 def sub_distribution_distance(ma, mb, grid, q=None):
@@ -341,14 +341,10 @@ class _Parametrization:
         hazards = {}
         pos = 0
         for key, fam in self.families.items():
-            if fam is Family.EXPONENTIAL:
-                gamma = 1.0
-            else:
-                gamma = math.exp(theta[pos])
-                pos += 1
-            alpha = math.exp(theta[pos])
-            pos += 1
-            hazards[key] = HazardSpec(fam, gamma, alpha)
+            pos += _packed_size(fam)
+            gamma = (1.0 if fam is Family.EXPONENTIAL
+                     else math.exp(theta[pos - 2]))
+            hazards[key] = HazardSpec(fam, gamma, math.exp(theta[pos - 1]))
         n_coords = self.num_atoms * self.dimension
         atoms = np.exp(theta[pos:pos + n_coords]).reshape(
             self.num_atoms, self.dimension)
@@ -670,10 +666,10 @@ def _log_likelihood(m, times, causes, observed, reuse=None):
     """Sum over pairs of log joint sub-density, vectorized over the data.
 
     The (atoms, n) log-mixture terms are kept C-ordered: ``np.take`` and
-    ``@`` give C order, while fancy indexing the Fortran-ordered
-    ``eps_matrix`` gives a Fortran-ordered gather that is slow to build and
-    to combine, and whose reductions over atoms run n short loops.  A pair
-    whose terms are all -inf gets -inf; log h is finite where h overflows.
+    ``@`` give C order, while a fancy-indexed column gather of
+    ``eps_matrix`` is Fortran-ordered, slow to build and to combine, and
+    its reductions over atoms run n short loops.  A pair whose terms are
+    all -inf gets -inf; log h is finite where h overflows.
 
     ``reuse``, a dict that one fit passes to each of its calls, keeps each
     individual's hazard rows of the last call, so that a hazard whose spec

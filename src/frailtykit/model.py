@@ -33,7 +33,6 @@ from .hazards import (
     _as_time_array,
     _hazard_tangents,
     _packed_size,
-    _rates_and_loads,
     _solve_total_load,
     _stacked_log_rates,
     _stacked_rates,
@@ -200,7 +199,7 @@ def _total_level_time(specs, levels, hi):
                      / _GRID_PER_OCTAVE)
     while True:
         with np.errstate(over="ignore", divide="ignore"):
-            log_h = np.log(sum(_rates_and_loads(specs, t)[1]))
+            log_h = np.log(_stacked_rates(specs, t)[1].sum(axis=0))
         if log_h[1] != np.inf:
             break
         t = t * 2.0 ** -_GRID_OCTAVES
@@ -579,6 +578,7 @@ def model_to_dict(m):
 
 
 def model_from_dict(d):
+    fr._check_block(d, "model")
     try:
         structure = fr.structure_from_dict(d["structure"])
     except KeyError:
@@ -588,12 +588,17 @@ def model_from_dict(d):
         frailty_block = d["frailty"]
     except KeyError as exc:
         raise ValueError(f"model missing key {exc}") from None
+    fr._check_block(hz_block, "model hazards")
     hazards = {}
     for k in (1, 2):
         key = str(k)
         if key not in hz_block:
             raise ValueError(f"model hazards missing individual {k}")
         specs = hz_block[key]
+        if not isinstance(specs, (list, tuple)):
+            raise ValueError(
+                f"model hazards of individual {k} must be a list of hazard "
+                f"specs, got {type(specs).__name__}")
         if len(specs) != structure.num_causes(k):
             raise ValueError(
                 f"individual {k} needs {structure.num_causes(k)} hazard specs, "

@@ -418,6 +418,22 @@ def test_library_input_errors_exit_2_with_their_message(files, tmp_path,
         "(1, 1, 6, 6)\n")
 
 
+def test_validate_names_a_malformed_model_block(tmp_path, capsys):
+    path = tmp_path / "list.json"
+    path.write_text(json.dumps([1, 2]))
+    assert run(["validate", "--model", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {path}: bad model: model must be an object, got list\n")
+
+    path.write_text(json.dumps(
+        {**MODEL, "hazards": {"1": MODEL["hazards"]["1"][0],
+                              "2": MODEL["hazards"]["2"]}}))
+    assert run(["validate", "--model", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {path}: bad model: model hazards of individual 1 must be a "
+        "list of hazard specs, got dict\n")
+
+
 def _script_target(name):
     """The ``module:attr`` that ``[project.scripts]`` declares for `name`."""
     if sys.version_info >= (3, 11):

@@ -24,8 +24,8 @@ from frailtykit import (
 from frailtykit._incgamma import cf_upper_sum
 from frailtykit._quad import integrate_power_substituted
 from frailtykit.hazards import (_hazard_and_cumulative, _hazard_tangents,
-                                _log_hazard_and_cumulative, _rates_and_loads,
-                                _solve_total_load)
+                                _log_hazard_and_cumulative, _solve_total_load,
+                                _stacked_rates)
 
 from helpers import ALL_FAMILIES, random_hazard
 
@@ -432,7 +432,7 @@ def test_shared_kernel_equals_the_public_functions_bit_for_bit(family):
         h, cum = _hazard_and_cumulative(spec, t)
         assert np.array_equal(h, hazard_rate(spec, t))
         assert np.array_equal(cum, cumulative_hazard(spec, t))
-        (h_row,), (cum_row,) = _rates_and_loads([spec], t)
+        (h_row,), (cum_row,) = _stacked_rates([spec], t)
         assert np.array_equal(h_row, h) and np.array_equal(cum_row, cum)
 
 

@@ -850,6 +850,22 @@ def test_default_grid_rejects_levels_outside_the_unit_interval(
         default_probe_grid(benchmark_pair[1], levels)
 
 
+@pytest.mark.parametrize("levels", [
+    [],
+    (0.1, 0.25, 0.5, 0.75),
+    [[0.1, 0.25, 0.5, 0.75, 0.9]],
+    (0.1, 0.5, 0.25, 0.75, 0.9),
+    (0.1, 0.25, 0.25, 0.75, 0.9),
+])
+def test_default_grid_names_levels_that_cannot_make_a_grid(
+        benchmark_pair, levels):
+    with pytest.raises(ValueError) as err:
+        default_probe_grid(benchmark_pair[1], levels)
+    assert str(err.value) == (
+        "quantile levels must be a strictly increasing sequence of at "
+        f"least 5, got {np.asarray(levels).tolist()}")
+
+
 def _mixed_family_model():
     st = FrailtyStructure(FrailtyKind.CORRELATED_CAUSE_SPECIFIC, 2, 2)
     atoms = np.array([[0.5, 0.7, 0.6, 0.8],

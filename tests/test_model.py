@@ -44,6 +44,8 @@ from frailtykit import (
 )
 from frailtykit import _quad, hazards
 from frailtykit import model as md
+from frailtykit.frailty import frailty_from_dict, structure_from_dict
+from frailtykit.hazards import hazard_spec_from_dict
 from frailtykit.identifiability import default_probe_grid
 from frailtykit.model import (
     DEFAULT_QUADRATURE,
@@ -409,6 +411,29 @@ def test_model_dict_round_trip(shared_two_atom):
         model_from_dict(bad)
 
 
+_SPEC = {"family": "weibull", "gamma": 1.5, "alpha": 0.5}
+
+
+@pytest.mark.parametrize("load, block, message", [
+    (model_from_dict, [1, 2], "model must be an object, got list"),
+    (structure_from_dict, [1], "structure must be an object, got list"),
+    (frailty_from_dict, [1], "frailty must be an object, got list"),
+    (hazard_spec_from_dict, 1, "hazard spec must be an object, got int"),
+    (hazard_spec_from_dict, {**_SPEC, "gamma": None},
+     "hazard spec gamma and alpha must be numbers, got None and 0.5"),
+    (model_from_dict,
+     {"structure": {"kind": "shared", "l1": 1, "l2": 1},
+      "hazards": {"1": _SPEC, "2": [_SPEC]},
+      "frailty": {"atoms": [[1.0]], "weights": [1.0]}},
+     "model hazards of individual 1 must be a list of hazard specs, "
+     "got dict"),
+])
+def test_dict_loaders_name_the_malformed_block(load, block, message):
+    with pytest.raises(ValueError) as err:
+        load(block)
+    assert str(err.value) == message
+
+
 def test_model_requires_matching_hazard_keys(shared_two_atom):
     m = shared_two_atom
     bad = {k: v for k, v in m.hazards.items() if k != (2, 2)}
@@ -547,6 +572,32 @@ def test_extreme_t_max_gives_a_finite_table_without_a_warning(family, ts):
                                rtol=0.0, atol=1e-12)
 
 
+def test_saturating_times_give_exact_values_without_a_warning(
+        shared_two_atom):
+    # every load overflows to inf at these times; BLAS flagged inf loads
+    # invalid when the multiplier matrix was a Fortran-ordered gather
+    m = shared_two_atom
+    causes = (1, 2)
+
+    def cause_sums(k, t):
+        # per atom, sum_j F_j(t) = -expm1(-eps . H(t)), without BLAS
+        cums = np.array([cumulative_hazard(sp, t) for sp in m.hazards_for(k)])
+        return -np.expm1(-(m.eps_matrix(k) * cums).sum(axis=1))
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        joint = [[joint_sub_distribution(m, j1, j2, 1e300, 1e300)
+                  for j2 in causes] for j1 in causes]
+        marginal = [marginal_sub_distribution(m, 1, j, 1e300) for j in causes]
+        table = sub_distribution_table(m, 1, [1e220])
+        exact = {t: (cause_sums(1, t), cause_sums(2, t))
+                 for t in (1e300, 1e220)}
+    weights, tol = m.frailty.weights, np.finfo(float).eps
+    assert abs(np.sum(joint) - weights @ np.prod(exact[1e300], axis=0)) <= tol
+    assert abs(np.sum(marginal) - weights @ exact[1e300][0]) <= tol
+    assert np.all(np.abs(table.sum(axis=1)[:, 0] - exact[1e220][0]) <= tol)
+
+
 def test_criterion_7_tables_converge_in_one_gauss_kronrod_round(
         shared_two_atom, monkeypatch):
     calls = []
@@ -567,13 +618,13 @@ def test_criterion_7_tables_converge_in_one_gauss_kronrod_round(
 def test_breakpoints_cost_one_hazard_call_per_table(shared_two_atom,
                                                     monkeypatch):
     calls = []
-    real = md._rates_and_loads
+    real = md._stacked_rates
 
     def counting(specs, t):
         calls.append(1)
         return real(specs, t)
 
-    monkeypatch.setattr(md, "_rates_and_loads", counting)
+    monkeypatch.setattr(md, "_stacked_rates", counting)
     for m in (shared_two_atom, _bench_mixed_model()):
         for specs, _, ts in _probe_tables(m):
             calls.clear()
