@@ -6,7 +6,8 @@ Below x = s + 1 it comes from P as ``log1p(-P)``, accurate where Q is close
 to 1.  Above it it is the log of ``gammaincc``; from x = 600 on, where Q
 nears underflow, log Q is assembled in log space from Lentz's continued
 fraction, whose factor callers forming ratios (hazards) use to cancel the
-exponential prefactor algebraically.  ``gammainc_upper`` returns Q itself.
+exponential prefactor algebraically; at x = inf it is -inf.
+``gammainc_upper`` returns Q itself.
 
 ``scipy.special`` is imported inside the functions that call it, so it
 loads on the first gamma-family evaluation, not with the package.
@@ -113,7 +114,10 @@ def _log_upper(s, x):
 
     low = x < s + 1.0
     tail = ~low & (x >= _LOG_TAIL_X)
-    branches = ((below, low), (above, ~low & ~tail), (far, tail))
+    # Q(s, inf) = 0, where the continued fraction has no terms
+    top = x == np.inf
+    branches = ((below, low), (above, ~low & ~tail), (far, tail & ~top),
+                (lambda s, x: np.full(x.shape, -np.inf), top))
     for branch, mask in branches:
         if mask.all():
             return branch(s, x)

@@ -15,10 +15,10 @@ Families:
 
 All operations accept scalar or ndarray time arguments and return matching
 shapes; scalars come back as plain floats.  Each family's log h and H are
-written once, in ``_log_hazard_and_cumulative``.  Every h, H and b comes
-from ``_hazard_and_cumulative`` on top of it, and log h, H and their
-parameter derivatives from ``_hazard_tangents``; (L, n) arrays of several
-causes come from ``_stacked_rates`` and ``_stacked_log_rates``.
+written once, in ``_log_hazard_and_cumulative``, and every h, H and b comes
+from it, h as exp(log h); log h, H and their parameter derivatives come
+from ``_hazard_tangents``, and (L, n) arrays of several causes from
+``_stacked_log_rates``.
 """
 
 from __future__ import annotations
@@ -48,6 +48,7 @@ __all__ = [
 
 # Past this x the gamma hazard is taken from the continued fraction alone.
 _HAZARD_CF_X = 40.0
+_MAX_DOUBLE = np.finfo(float).max
 
 
 class Family(str, Enum):
@@ -102,11 +103,10 @@ def _unwrap(value, arr):
     return float(value) if arr.ndim == 0 else value
 
 
-# The kernels stay bare because they sit in every quadrature and root-finder
-# loop.  H and h overflow to inf past the double range, and at t = 0 h is
-# 0 * inf or 1 / 0 (log-logistic and gamma at gamma <= 1, Weibull at
-# gamma < 1) and log t is -inf; numpy warns on each.  The callers that reach
-# such times ignore those warnings once around their kernel calls.
+# The kernel stays bare because it sits in every quadrature and root-finder
+# loop.  H and exp(log h) overflow to inf past the double range, and at
+# t = 0 log h is +-inf, or 0 * -inf for the exponential; numpy warns on
+# each.  The callers that reach such times ignore those warnings once.
 
 
 def _log_hazard_and_cumulative(spec, t):
@@ -114,7 +114,7 @@ def _log_hazard_and_cumulative(spec, t):
     H are written, with log h in closed form, finite where h overflows.  The
     log-logistic family shares one log t: H = log(1 + alpha t**gamma).  The
     gamma family takes H = -log Q and log h = log f - log Q from one
-    incomplete-gamma call."""
+    incomplete-gamma call; at x = alpha t = inf, H = inf and h = alpha."""
     g, a = spec.gamma, spec.alpha
     if spec.family in (Family.WEIBULL, Family.EXPONENTIAL):
         return np.log(a * g) + (g - 1.0) * np.log(t), a * t ** g
@@ -135,34 +135,28 @@ def _log_hazard_and_cumulative(spec, t):
     log_q = _log_upper(g, x)
     # log x from log t: x = alpha t can be subnormal, with few digits left
     log_x = np.log(a) + np.log(t)
-    log_h = np.log(a) + (g - 1.0) * log_x - x - gammaln(g) - log_q
+    # x capped at the largest double: at x = inf this log h is inf, not nan
+    log_h = (np.log(a) + (g - 1.0) * log_x - np.minimum(x, _MAX_DOUBLE)
+             - gammaln(g) - log_q)
     tail = x >= max(_HAZARD_CF_X, g + 1.0)
     if tail.any():
-        # a 0-d time gives a scalar log h
+        # a 0-d time gives a scalar log h; h tends to alpha as x -> inf
         log_h = np.asarray(log_h)
-        log_h[tail] = -np.log(t[tail] * cf_upper_sum(g, x[tail]))
+        cf = tail & (x < np.inf)
+        log_h[cf] = -np.log(t[cf] * cf_upper_sum(g, x[cf]))
+        log_h[tail & ~cf] = np.log(a)
     return log_h, -log_q
-
-
-def _hazard_and_cumulative(spec, t):
-    """(h(t), H(t)) on a time array: exp(log h), or for the power families
-    h = alpha gamma t**(gamma - 1), defined at t = 0 as well."""
-    g, a = spec.gamma, spec.alpha
-    if spec.family in (Family.WEIBULL, Family.EXPONENTIAL):
-        return a * g * t ** (g - 1.0), a * t ** g
-    log_h, cum = _log_hazard_and_cumulative(spec, t)
-    return np.exp(log_h), cum
 
 
 # Selections from the kernel.  They stay as functions because
 # ``hazard_rate``, ``cumulative_hazard`` and ``b_at`` call them and the
 # benchmark's tracer (bench/spans.py) wraps them by name.
 def _hazard_array(spec, t):
-    return _hazard_and_cumulative(spec, t)[0]
+    return np.exp(_log_hazard_and_cumulative(spec, t)[0])
 
 
 def _cumulative_array(spec, t):
-    return _hazard_and_cumulative(spec, t)[1]
+    return _log_hazard_and_cumulative(spec, t)[1]
 
 
 # Step in log gamma of the gamma family's central difference: about
@@ -216,13 +210,6 @@ def _hazard_tangents(spec, t):
             np.array([glt * sig, sig]))
 
 
-def _stacked_rates(specs, t):
-    """(L, n) arrays of h_j(t) and H_j(t), inf where t saturates them."""
-    with np.errstate(over="ignore"):
-        parts = [_hazard_and_cumulative(sp, t) for sp in specs]
-    return tuple(np.array(p) for p in zip(*parts))
-
-
 def _stacked_log_rates(specs, t):
     """(L, n) arrays of log h_j(t) and H_j(t), H inf where t saturates it."""
     with np.errstate(over="ignore"):
@@ -242,7 +229,7 @@ def cumulative_hazard(spec, t):
     """Integrated rate H(t) = int_0^t h; H(0) = 0, increasing to infinity,
     and inf where it passes the double range."""
     arr = _as_time_array(t, allow_zero=True)
-    # at t = 0 the kernel's h, dropped here, can be 0 * inf or 1 / 0
+    # at t = 0 the kernel's log h, dropped here, is log 0 or 0 * -inf
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         return _unwrap(_cumulative_array(spec, arr), arr)
 
@@ -263,18 +250,19 @@ _NEWTON_MAX_ITER = 200
 def _solve_time(fun, target):
     """Times t with G(t) = target, elementwise, for an increasing G > 0.
 
-    ``fun(t, idx)`` returns G(t) and dG/dt for the elements ``idx`` (indices
-    into ``target``) that are still open; ``target`` is one-dimensional.
-    Safeguarded Newton on log G against log t from t = 1, with log-log
-    slope t G' / G.  Steps are taken as t * exp(step), so the root keeps
-    full relative precision at any magnitude.  Every evaluation narrows a
-    bracket [lo, up], which starts at the smallest normal double and at
-    1e300; a step that lands strictly outside the bracket, or is not
-    finite, bisects it geometrically instead.  An element stops once
-    a Newton step moves log t by at most 1e-9, or once its bracket closes
-    to a few ulp.  A root below the smallest normal double comes back a
-    few ulp above that double, as 2.225073858507202e-308 for instance; a
-    root at 1e300 raises RuntimeError.
+    ``fun(t, idx)`` returns G(t) and its log-time slope t dG/dt for the
+    elements ``idx`` (indices into ``target``) that are still open;
+    ``target`` is one-dimensional.  Safeguarded Newton on log G against
+    log t from t = 1, with log-log slope t G' / G.  Steps are taken as
+    t * exp(step), so the root keeps full relative precision at any
+    magnitude.  Every evaluation narrows a bracket [lo, up], which starts
+    at the smallest normal double and at 1e300; a step that lands strictly
+    outside the bracket, or is not finite, bisects it geometrically
+    instead.  An element stops once a Newton step moves log t by at most
+    1e-9, or once its bracket closes to a few ulp.  A root below the
+    smallest normal double comes back a few ulp above that double, as
+    2.225073858507202e-308 for instance; a root at 1e300 raises
+    RuntimeError.
     """
     target = np.asarray(target, dtype=float)
     t = np.ones(target.shape)
@@ -289,7 +277,7 @@ def _solve_time(fun, target):
             above = ratio >= 1.0
             up = np.where(above, t, up)
             lo = np.where(above, lo, t)
-            step = -np.log(ratio) * value / (t * slope)
+            step = -np.log(ratio) * value / slope
             new = t * np.exp(step)
             done = np.abs(step) <= _NEWTON_STEP_TOL
             bisect = ~((new >= lo) & (new <= up))
@@ -315,15 +303,17 @@ def _solve_time(fun, target):
 def _solve_total_load(specs, eps, target):
     """Times t with sum_j eps[:, j] * H_j(t) = target, elementwise.
 
-    The load and its derivative, the rate sum_j eps_j h_j, go through
-    ``_solve_time``; a root above 1e300 raises RuntimeError.
+    The load and its log-time slope sum_j eps_j t h_j go through
+    ``_solve_time``, with t h_j = exp(log t + log h_j), finite where h_j
+    overflows; a root above 1e300 raises RuntimeError.
     """
     eps = np.asarray(eps, dtype=float)
 
     def load(t, idx):
         e = eps[idx].T
-        hs, cums = _stacked_rates(specs, t)
-        return (e * cums).sum(axis=0), (e * hs).sum(axis=0)
+        log_hs, cums = _stacked_log_rates(specs, t)
+        return ((e * cums).sum(axis=0),
+                (e * np.exp(np.log(t) + log_hs)).sum(axis=0))
 
     return _solve_time(load, target)
 

@@ -53,7 +53,6 @@ from .hazards import (
     _packed_size,
     _solve_time,
     _stacked_log_rates,
-    _stacked_rates,
     inverse_cumulative_hazard,
 )
 from .simulate import _observation_columns
@@ -123,12 +122,12 @@ def default_probe_grid(m, levels=DEFAULT_QUANTILE_LEVELS):
     Every level q is solved in one ``hazards._solve_time`` call on
     G(t) = -log S(t) = -log1p(-q), with S(t) = P(T1 > t, T2 > t) =
     sum_w p_w exp(-Lambda_w(t)), where Lambda_w sums eps * H over both
-    individuals' causes at atom w; the derivative is
-    G' = sum_w p_w lambda_w exp(-Lambda_w) / S with lambda_w the matching
-    sum of eps * h.  Levels must be finite, strictly inside (0, 1) and a
-    strictly increasing sequence of at least 5 (a probe grid's minimum),
-    and their quantiles above the smallest normal double, where the solver
-    stops.
+    individuals' causes at atom w; the log-time slope is
+    t G' = sum_w p_w t lambda_w exp(-Lambda_w) / S with t lambda_w the
+    matching sum of eps * t h, t h = exp(log t + log h).  Levels must be
+    finite, strictly inside (0, 1) and a strictly increasing sequence of at
+    least 5 (a probe grid's minimum), and their quantiles above the
+    smallest normal double, where the solver stops.
     """
     lv = np.asarray(levels, dtype=float)
     if not np.all((lv > 0.0) & (lv < 1.0)):
@@ -142,11 +141,11 @@ def default_probe_grid(m, levels=DEFAULT_QUANTILE_LEVELS):
     cols = np.hstack([m.eps_matrix(1), m.eps_matrix(2)]).T[:, :, None]
 
     def neg_log_survival(t, idx):
-        hs, cums = _stacked_rates(specs, t)
+        log_hs, cums = _stacked_log_rates(specs, t)
         damp = np.exp(-(cols * cums[:, None]).sum(axis=0))
-        rate = (cols * hs[:, None]).sum(axis=0)
+        t_rate = (cols * np.exp(np.log(t) + log_hs)[:, None]).sum(axis=0)
         surv = weights @ damp
-        return -np.log(surv), (weights @ (rate * damp)) / surv
+        return -np.log(surv), (weights @ (t_rate * damp)) / surv
 
     target = -np.log1p(-lv)
     pts = _solve_time(neg_log_survival, target)
@@ -677,8 +676,8 @@ def _log_likelihood(m, times, causes, observed, reuse=None):
     """
     reuse = {} if reuse is None else reuse
     terms = log_h = 0.0
-    # a saturated time overflows H, and BLAS flags its inf load invalid
-    with np.errstate(over="ignore", invalid="ignore"):
+    # a saturated time overflows H
+    with np.errstate(over="ignore"):
         for k in (1, 2):
             log_hs, cums = _reused_log_rates(m.hazards_for(k), times[k],
                                              reuse.setdefault(k, {}))

@@ -35,7 +35,6 @@ from .hazards import (
     _packed_size,
     _solve_total_load,
     _stacked_log_rates,
-    _stacked_rates,
     cumulative_hazard,
     hazard_rate,
     hazard_spec_from_dict,
@@ -198,8 +197,9 @@ def _total_level_time(specs, levels, hi):
     t = hi * np.exp2(np.arange(-_GRID_OCTAVES * _GRID_PER_OCTAVE, 1)
                      / _GRID_PER_OCTAVE)
     while True:
-        with np.errstate(over="ignore", divide="ignore"):
-            log_h = np.log(_stacked_rates(specs, t)[1].sum(axis=0))
+        # at a grid point underflowed to 0 the exponential's log h is 0 * -inf
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            log_h = np.log(_stacked_log_rates(specs, t)[1].sum(axis=0))
         if log_h[1] != np.inf:
             break
         t = t * 2.0 ** -_GRID_OCTAVES
@@ -260,7 +260,7 @@ def _integrand(specs, eps):
         return vals.reshape(n_l * n_w, -1).T
 
     def head(t):
-        loads, _, phi = _head(eps, _stacked_rates(specs, t)[1])
+        loads, _, phi = _head(eps, _stacked_log_rates(specs, t)[1])
         return (loads * phi).reshape(n_l * n_w, -1).T
 
     return f, head, (n_l, n_w)
@@ -431,13 +431,13 @@ def marginal_sub_distribution(m, k, j, t, q=None):
 
 def _sub_densities(m, k, ts):
     """(W, L_k, n) sub-densities h_j eps_wj exp(-sum_j' eps_wj' H_j') of
-    individual k given each atom at the times ts (n,), in product form.
-    A saturated exponent gives 0 even where h has overflowed, not inf * 0."""
-    hs, cums = _stacked_rates(m.hazards_for(k), ts)
+    individual k given each atom at the times ts (n,), in product form with
+    h = exp(log h): a saturated exponent gives 0 where h has overflowed."""
+    log_hs, cums = _stacked_log_rates(m.hazards_for(k), ts)
     eps = m.eps_matrix(k)
     damp = np.exp(-(eps @ cums))
-    with np.errstate(invalid="ignore"):
-        vals = hs[:, None, :] * eps.T[:, :, None] * damp
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals = np.exp(log_hs)[:, None, :] * eps.T[:, :, None] * damp
     return np.where(damp == 0.0, 0.0, vals).swapaxes(0, 1)
 
 

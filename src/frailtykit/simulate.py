@@ -22,7 +22,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import frailty as fr
-from .hazards import _solve_total_load, _stacked_rates
+from .hazards import _solve_total_load, _stacked_log_rates
 
 __all__ = [
     "SimConfig",
@@ -73,6 +73,8 @@ class BivariateObservation:
             raise ValueError(
                 "observed times must be finite and strictly positive")
         for j, d in ((self.j1, self.d1), (self.j2, self.d2)):
+            if isinstance(j, bool) or not isinstance(j, (int, np.integer)):
+                raise ValueError(f"cause labels must be integers, got {j!r}")
             if (j == 0) == d:
                 raise ValueError("cause 0 must pair with a censoring flag")
             if j < 0:
@@ -106,13 +108,16 @@ def _simulate_shard(m, seed, shard_index, count, censoring_rate,
         specs = m.hazards_for(k)
         eps = m.eps_matrix(k)[atom_idx]
         times = _invert_total_load(specs, eps, exp_draws[k])
-        rates = eps * _stacked_rates(specs, times)[0].T
-        total = rates.sum(axis=1)
+        # (L, n) eps_j h_j over each pair's largest, finite where h overflows
+        log_rates = (np.log(m.eps_matrix(k)).T[:, atom_idx]
+                     + _stacked_log_rates(specs, times)[0])
+        rates = np.exp(log_rates - log_rates.max(axis=0))
+        total = rates.sum(axis=0)
         if not np.all(np.isfinite(total) & (total > 0.0)):
             raise RuntimeError("cause assignment rates degenerated")
-        cum = np.cumsum(rates, axis=1)
-        causes = 1 + np.sum(cause_draws[k][:, None] * total[:, None] >= cum,
-                            axis=1).astype(np.int64)
+        cum = np.cumsum(rates, axis=0)
+        causes = 1 + np.sum(cause_draws[k] * total >= cum,
+                            axis=0).astype(np.int64)
         causes = np.minimum(causes, len(specs))
         if censor is not None:
             observed = np.minimum(times, censor[k])

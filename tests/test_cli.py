@@ -261,6 +261,22 @@ def test_eval_gives_a_finite_grid_for_a_small_shape_model(files):
     assert np.all(np.isfinite(rows))
 
 
+def test_simulate_draws_causes_where_a_hazard_overflows(files):
+    # every failure time of this model lies below the smallest normal
+    # double, so the solver returns it a few ulp above it, where h of
+    # W(0.01, 1e6) overflows but its log does not; there cause 1 carries
+    # t h_1 = 0.01 H_1 = 8.4 against t h_2 < 1e-245
+    out = files["dir"] / "small.csv"
+    assert run(["simulate", "--model", files["small"], "--n", "100",
+                "--seed", "7", "--out", str(out)]) == 0
+    rows = np.loadtxt(out, delimiter=",", skiprows=1)
+    assert rows.shape == (100, 7)
+    tiny = np.finfo(float).tiny
+    times = rows[:, [1, 4]]
+    assert np.all((times >= tiny) & (times <= tiny + 8 * np.spacing(tiny)))
+    assert np.all(rows[:, [2, 5]] == 1.0) and np.all(rows[:, [3, 6]] == 1.0)
+
+
 @pytest.mark.parametrize("command", ["probe", "recover"])
 def test_default_grid_below_the_double_range_exits_2(files, capsys, command):
     args = (["--model-a", files["small"], "--model-b", files["small"]]

@@ -218,6 +218,14 @@ def test_sample_rejects_a_count_that_is_not_a_nonnegative_integer(n):
         sample(g, 7, n)
 
 
+@pytest.mark.parametrize("seed", [1.5, "a", True, -1, 2 ** 64])
+def test_sample_rejects_a_seed_that_is_not_a_64_bit_integer(seed):
+    g = make(FrailtyKind.SHARED, [[1.0]], [1.0])
+    with pytest.raises(ValueError, match="seed must be an integer"):
+        sample(g, seed, 5)
+    assert sample(g, np.uint64(2 ** 64 - 1), 2).tolist() == [0, 0]
+
+
 def test_canonicalize_merges_and_sorts():
     g = make(FrailtyKind.SHARED, [[1.5], [0.5], [0.5]], [0.25, 0.5, 0.25])
     c = canonicalize(g)

@@ -23,9 +23,8 @@ from frailtykit import (
 )
 from frailtykit._incgamma import cf_upper_sum
 from frailtykit._quad import integrate_power_substituted
-from frailtykit.hazards import (_hazard_and_cumulative, _hazard_tangents,
-                                _log_hazard_and_cumulative, _solve_total_load,
-                                _stacked_rates)
+from frailtykit.hazards import (_hazard_tangents, _log_hazard_and_cumulative,
+                                _solve_total_load, _stacked_log_rates)
 
 from helpers import ALL_FAMILIES, random_hazard
 
@@ -273,8 +272,8 @@ def test_shared_gamma_kernel_matches_mpmath(g):
              for f in (1 - 1e-12, 1.0, 1 + 1e-12)]
     x = np.concatenate([np.geomspace(1e-10, 900.0, 60), edges])
     t = x / a
-    h, cum = _hazard_and_cumulative(HazardSpec(Family.GAMMA, g, a), t)
-    for xi, hi, ci in zip(a * t, h, cum):
+    log_h, cum = _log_hazard_and_cumulative(HazardSpec(Family.GAMMA, g, a), t)
+    for xi, hi, ci in zip(a * t, np.exp(log_h), cum):
         h_ref, cum_ref = _mp_gamma_h_and_cum(g, a, float(xi))
         tol = 5e-14 if xi < 1e-3 else 1.5e-14
         assert abs(hi - h_ref) <= tol * h_ref, xi
@@ -429,23 +428,22 @@ def test_shared_kernel_equals_the_public_functions_bit_for_bit(family):
     t = np.concatenate([np.geomspace(1e-9, 2000.0, 400), [40.0, 600.0]])
     for g in gammas:
         spec = HazardSpec(family, g, 0.9)
-        h, cum = _hazard_and_cumulative(spec, t)
-        assert np.array_equal(h, hazard_rate(spec, t))
+        log_h, cum = _log_hazard_and_cumulative(spec, t)
+        assert np.array_equal(np.exp(log_h), hazard_rate(spec, t))
         assert np.array_equal(cum, cumulative_hazard(spec, t))
-        (h_row,), (cum_row,) = _stacked_rates([spec], t)
-        assert np.array_equal(h_row, h) and np.array_equal(cum_row, cum)
+        (log_h_row,), (cum_row,) = _stacked_log_rates([spec], t)
+        assert (np.array_equal(log_h_row, log_h)
+                and np.array_equal(cum_row, cum))
 
 
 def test_shared_kernel_is_warning_free_at_time_zero():
-    # power hazards with a finite h(0): H is not formed from h (t h / g
-    # would be 0 * inf at gamma < 1), and RuntimeWarning is an error here
+    # power hazards at t = 0, where the kernel's log h is log 0 or
+    # 0 * -inf; cumulative_hazard drops it, and RuntimeWarning is an error
     t = np.array([0.0, 1.0])
     for spec in (HazardSpec(Family.EXPONENTIAL, 1.0, 0.4),
                  HazardSpec(Family.WEIBULL, 1.0, 0.6),
                  HazardSpec(Family.WEIBULL, 2.0, 0.6)):
-        h, cum = _hazard_and_cumulative(spec, t)
-        assert cum[0] == 0.0
-        assert h[0] == (spec.alpha if spec.gamma == 1.0 else 0.0)
+        assert cumulative_hazard(spec, t)[0] == 0.0
 
 
 @pytest.mark.parametrize("g", [0.3, 0.8, 1.0, 2.5, 6.0])
@@ -499,3 +497,17 @@ def test_total_load_roots_reach_their_targets(problem):
     load = sum(eps[:, j] * cumulative_hazard(sp, t)
                for j, sp in enumerate(specs))
     assert np.all(np.abs(load - target) <= 1e-12 * target)
+
+
+def test_load_roots_where_the_hazard_overflows_solve_in_log_time():
+    # h of W(0.01, 1e6) overflows up to about 1e-307, while the load's
+    # log-time slope t h = 0.01 H stays finite.  H(2.2e-308) is 838.4, so
+    # the roots of 833 and 836 lie below the smallest normal double
+    spec = HazardSpec(Family.WEIBULL, 0.01, 1e6)
+    tiny = np.finfo(float).tiny
+    below = _solve_total_load([spec], np.ones((2, 1)), [833.0, 836.0])
+    assert np.all((below >= tiny) & (below <= tiny + 8 * np.spacing(tiny)))
+    target = np.array([840.0, 845.0, 850.0, 870.0, 900.0])
+    t = _solve_total_load([spec], np.ones((target.size, 1)), target)
+    assert np.all(np.abs(cumulative_hazard(spec, t) - target)
+                  <= 1e-12 * target)

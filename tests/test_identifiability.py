@@ -23,6 +23,7 @@ from frailtykit import (
     default_probe_grid,
     fit_mle,
     frailty_close,
+    hazard_rate,
     inverse_cumulative_hazard,
     joint_sub_density,
     joint_survival,
@@ -40,6 +41,7 @@ from frailtykit import (
 )
 from frailtykit import identifiability as ident
 from frailtykit import model as md
+from frailtykit._incgamma import log_gammainc_upper
 from frailtykit._quad import QuadratureError
 from frailtykit.identifiability import (
     _Parametrization,
@@ -807,6 +809,40 @@ def test_log_likelihood_is_minus_inf_where_every_atom_term_is():
     arrays = _dataset_arrays(data, m.structure)
     with np.errstate(over="ignore", invalid="ignore"):
         assert _log_likelihood(m, *arrays) == -np.inf
+
+
+def test_gamma_hazards_past_the_double_range_take_their_limits():
+    # alpha t = inf, where the continued fraction of Q has no terms: Q = 0,
+    # H = inf and h = alpha, its limit as t grows; the pair's density is 0
+    spec = HazardSpec(Family.GAMMA, 1.5, 2.0)
+    m = shared([0.6, 1.4], [0.5, 0.5], [spec])
+    pair = BivariateObservation(1.7e308, 1, True, 1.0, 1, True)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cumulative_hazard(spec, 1.7e308) == np.inf
+        assert hazard_rate(spec, 1.7e308) == 2.0
+        assert np.array_equal(hazard_rate(spec, np.array([1.7e308, 1.0])),
+                              [2.0, hazard_rate(spec, 1.0)])
+        assert log_gammainc_upper(1.5, np.inf) == -np.inf
+        assert _log_likelihood(
+            m, *_dataset_arrays([pair], m.structure)) == -np.inf
+
+
+@pytest.mark.parametrize("family", ALL_FAMILIES)
+def test_log_likelihood_raises_no_invalid_flag_at_extreme_times(family):
+    # pairs from 1e-300 to 1.7e308, where H and h saturate: each pair's
+    # value is finite or -inf, and only overflow is ignored on the way
+    g = 1.0 if family is Family.EXPONENTIAL else 0.7
+    m = shared([0.6, 1.4], [0.5, 0.5], [HazardSpec(family, g, 2.0),
+                                        W(1.3, 0.5)])
+    t = np.geomspace(1e-300, 1.7e308, 12)
+    with np.errstate(invalid="raise"), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for i, (t1, t2) in enumerate(zip(t, t[::-1])):
+            pair = BivariateObservation(t1, 1 + i % 2, True, t2, 2 - i % 2,
+                                        True)
+            value = _log_likelihood(m, *_dataset_arrays([pair], m.structure))
+            assert value < np.inf and not np.isnan(value), (t1, t2)
 
 
 def test_log_likelihood_is_minus_inf_at_a_saturating_time_without_a_warning():

@@ -618,13 +618,13 @@ def test_criterion_7_tables_converge_in_one_gauss_kronrod_round(
 def test_breakpoints_cost_one_hazard_call_per_table(shared_two_atom,
                                                     monkeypatch):
     calls = []
-    real = md._stacked_rates
+    real = md._stacked_log_rates
 
     def counting(specs, t):
         calls.append(1)
         return real(specs, t)
 
-    monkeypatch.setattr(md, "_stacked_rates", counting)
+    monkeypatch.setattr(md, "_stacked_log_rates", counting)
     for m in (shared_two_atom, _bench_mixed_model()):
         for specs, _, ts in _probe_tables(m):
             calls.clear()
@@ -674,12 +674,13 @@ def test_tangent_integrand_makes_one_kernel_call_per_cause(specs,
     # values and derivatives from one kernel call per cause; a gamma cause
     # would add the two shifted-shape calls of its central difference
     calls = []
-    for name in ("_hazard_and_cumulative", "_log_hazard_and_cumulative"):
-        def counting(spec, t, real=getattr(hazards, name)):
-            calls.append(spec)
-            return real(spec, t)
+    real = hazards._log_hazard_and_cumulative
 
-        monkeypatch.setattr(hazards, name, counting)
+    def counting(spec, t):
+        calls.append(spec)
+        return real(spec, t)
+
+    monkeypatch.setattr(hazards, "_log_hazard_and_cumulative", counting)
     eps = np.array([[0.6] * len(specs), [1.4] * len(specs)])
     _tangent_integrand(specs, eps)[0](np.linspace(-3.0, 2.0, 15))
     assert calls == specs

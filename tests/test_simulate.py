@@ -215,6 +215,16 @@ def test_observation_validation():
         BivariateObservation(t1=1.0, j1=1, d1=False, t2=1.0, j2=1, d2=True)
 
 
+@pytest.mark.parametrize("j", [1.0, 1.5, np.float64(2.0), True, "1"])
+def test_observation_rejects_a_cause_label_that_is_not_an_integer(j):
+    # fit_mle's int64 cause column would truncate 1.5 to cause 1
+    with pytest.raises(ValueError, match="cause labels must be integers"):
+        BivariateObservation(1.0, 1, True, 2.0, j, True)
+    with pytest.raises(ValueError, match="cause labels must be integers"):
+        BivariateObservation(1.0, j, True, 2.0, 1, True)
+    assert BivariateObservation(1.0, np.int64(2), True, 2.0, 1, True).j1 == 2
+
+
 def test_csv_round_trip(tmp_path):
     m = exp_model([0.5, 0.5], atoms=((0.8,), (1.2,)), weights=(0.4, 0.6))
     path = tmp_path / "pairs.csv"
@@ -458,8 +468,8 @@ def test_load_inversion_is_exact_for_power_loads(g):
 def test_load_inversion_converges_in_a_few_newton_steps(monkeypatch):
     # the draw of a shard: exponential targets, one load per atom row
     calls = []
-    kernel = hazards._hazard_and_cumulative
-    monkeypatch.setattr(hazards, "_hazard_and_cumulative",
+    kernel = hazards._log_hazard_and_cumulative
+    monkeypatch.setattr(hazards, "_log_hazard_and_cumulative",
                         lambda sp, t: calls.append(t.size) or kernel(sp, t))
     specs = _LOAD_SPECS["mixed"]
     rng = np.random.default_rng(8)
