@@ -44,13 +44,20 @@ def _load_model(path):
         raise _InputError(f"{path}: bad model: {exc}")
 
 
-def _load_grid(path):
+def _grid_points(path):
+    """The t1 and t2 point lists of a grid file, unchecked."""
     data = _load_json(path)
     try:
-        return ident.ProbeGrid(tuple(data["t1_points"]),
-                               tuple(data["t2_points"]))
+        return data["t1_points"], data["t2_points"]
     except KeyError as exc:
         raise _InputError(f"{path}: grid JSON needs key {exc}")
+    except TypeError as exc:
+        raise _InputError(f"{path}: bad grid: {exc}")
+
+
+def _load_grid(path):
+    try:
+        return ident.ProbeGrid(*_grid_points(path))
     except (ValueError, TypeError) as exc:
         raise _InputError(f"{path}: bad grid: {exc}")
 
@@ -90,10 +97,12 @@ def _cmd_simulate(args):
 
 def _cmd_eval(args):
     m = _load_model(args.model)
-    grid = _load_grid(args.grid)
-    t1, t2 = grid.t1_points, grid.t2_points
-    big_f = md.joint_sub_distribution_grid(m, t1, t2)
-    small_f = md.joint_sub_density_grid(m, t1, t2)
+    try:  # any nonempty increasing points; the grid functions check them
+        t1, t2 = (np.asarray(t, dtype=float) for t in _grid_points(args.grid))
+        big_f = md.joint_sub_distribution_grid(m, t1, t2)
+        small_f = md.joint_sub_density_grid(m, t1, t2)
+    except (ValueError, TypeError) as exc:
+        raise _InputError(f"{args.grid}: bad grid: {exc}")
     l1, l2 = m.num_causes(1), m.num_causes(2)
     # rows run t1 outermost, then t2, j1, j2; each time is formatted once
     pairs = [f"{i},{j}," for i in range(1, l1 + 1) for j in range(1, l2 + 1)]

@@ -329,9 +329,14 @@ def _inverse_gamma_array(spec, v):
     tail = v > _INVERSE_TAIL_V
     mid = ~low & ~tail
     out[mid] = gammainccinv(g, np.exp(-v[mid])) / a
-    if np.any(tail):
-        vt = v[tail]
-        out[tail] = _solve_total_load([spec], np.ones((vt.size, 1)), vt)
+    # H(t) = alpha t to rounding from t = 1e280 on at least, so past 1e297
+    # the root is v / alpha, or inf; below it the load solver finds it
+    with np.errstate(over="ignore"):
+        out[tail] = v[tail] / a
+    near = tail & (out <= 1e-3 * _TIME_CEILING)
+    if np.any(near):
+        out[near] = _solve_total_load([spec], np.ones((near.sum(), 1)),
+                                      v[near])
     return out
 
 

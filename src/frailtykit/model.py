@@ -181,21 +181,21 @@ def conditional_survival(m, k, t, pair_frailty):
 _TINY = np.finfo(float).tiny
 # Dyadic levels of the total cumulative hazard stop at 2**54.
 _TOP_LEVEL_EXPONENT = 54
-# The grid of _total_level_time: points per binary decade of t, and decades.
-_GRID_PER_OCTAVE = 4
+# The grid of _total_level_time as fractions of hi: 4 points per octave.
 _GRID_OCTAVES = 64
+_GRID = np.exp2(np.arange(-_GRID_OCTAVES * 4, 1) / 4)
 
 
 def _total_level_time(specs, levels, hi):
-    """Times t below hi near sum_j H_j(t) = level, for every level at once.
+    """Times t below hi near sum_j H_j(t) = level, for every level at once:
+    the level ladder of ``_segment_points``.
 
     One hazard call on a log2-spaced grid ending at hi; log t is linear in
     log H between its points and, below it, keeps its lowest slope (H ~
     t**gamma_min near 0).  Levels not below 0.999 of the top total get hi.
     A grid with under two finite totals moves down by its span and retries.
     """
-    t = hi * np.exp2(np.arange(-_GRID_OCTAVES * _GRID_PER_OCTAVE, 1)
-                     / _GRID_PER_OCTAVE)
+    t = hi * _GRID
     while True:
         # at a grid point underflowed to 0 the exponential's log h is 0 * -inf
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
@@ -214,19 +214,36 @@ def _total_level_time(specs, levels, hi):
     return np.where(x < log_h[-1] + np.log(0.999), out, hi)
 
 
-def _segment_points(specs, t_points, abs_tol):
-    """Integration breakpoints: the requested times plus times near the
-    dyadic levels of the baseline total cumulative hazard, from one grid
-    evaluation, so no scale of the integrand is skipped.
+def _segment_points(specs, t_points, q):
+    """The breakpoints of a table: the checked requested times, and times
+    near the dyadic levels of the baseline total cumulative hazard from
+    q.abs_tol up (``_total_level_time``), so no scale of the integrand is
+    skipped.  Up to t_lo, the first level time kept to [smallest normal
+    double, last requested time], a table takes its closed form (``_head``).
 
-    The levels start at the largest power of two not above abs_tol; below
-    the first of them a table takes its closed-form head (``_head``)."""
-    t_max = t_points[-1]
-    first = np.frexp(abs_tol)[1] - 1
+    Returns (points, at, lo, starts, ends, wide): the sorted breakpoints,
+    the index of each requested time and of t_lo in them, the log-time
+    segments from t_lo on, and the mask of segments of nonzero width.
+    """
+    ts = np.asarray(t_points, dtype=float)
+    if ts.ndim != 1 or ts.size == 0:
+        raise ValueError("need a one-dimensional nonempty time grid")
+    _check_times(ts, positive=True)
+    if np.any(np.diff(ts) <= 0.0):
+        raise ValueError("time grid must be strictly increasing")
+    t_max = ts[-1]
+    first = np.frexp(q.abs_tol)[1] - 1
     levels = np.ldexp(1.0, np.arange(first, _TOP_LEVEL_EXPONENT + 1))
-    extras = _total_level_time(specs, levels, t_max)
-    extras = extras[(extras > 0.0) & (extras < t_max)]
-    return np.unique(np.concatenate([np.asarray(t_points, float), extras]))
+    ladder = _total_level_time(specs, levels, t_max)
+    ladder = ladder[(ladder > 0.0) & (ladder < t_max)]
+    t_lo = min(max(ladder.min(initial=t_max), _TINY), t_max)
+    points, index = np.unique(np.concatenate([ts, ladder, [t_lo]]),
+                              return_inverse=True)
+    lo = int(index[-1])
+    x = np.log(points[lo:])
+    # distinct large breakpoints can share one log; such a segment has zero
+    # width and contributes nothing
+    return points, index[:ts.size], lo, x[:-1], x[1:], x[1:] > x[:-1]
 
 
 def _head(eps, cums):
@@ -322,32 +339,6 @@ def _tangent_integrand(specs, eps):
     return f, head, (1 + n_p + n_l, n_l, n_w)
 
 
-def _table_segments(specs, t_points, q):
-    """The checked time grid of a table and the segments it integrates.
-
-    The head of the table runs to t_lo, the first time of the level ladder
-    of ``_segment_points`` (where the load is about abs_tol), but not below
-    the smallest normal double nor above the last requested time.  Returns
-    (ts, points, lo, starts, ends, wide): the requested times, the
-    breakpoints with t_lo at index lo, the log-time segments between the
-    breakpoints from t_lo on, and the mask of segments of nonzero width.
-    """
-    ts = np.asarray(t_points, dtype=float)
-    if ts.ndim != 1 or ts.size == 0:
-        raise ValueError("need a one-dimensional nonempty time grid")
-    _check_times(ts, positive=True)
-    if np.any(np.diff(ts) <= 0.0):
-        raise ValueError("time grid must be strictly increasing")
-    ladder = _segment_points(specs, ts[-1:], q.abs_tol)
-    t_lo = min(max(ladder[0], _TINY), ts[-1])
-    points = np.unique(np.concatenate([ts, ladder, [t_lo]]))
-    lo = int(np.searchsorted(points, t_lo))
-    x = np.log(points[lo:])
-    # distinct large breakpoints can share one log; such a segment has zero
-    # width and contributes nothing
-    return ts, points, lo, x[:-1], x[1:], x[1:] > x[:-1]
-
-
 def _cause_curves(specs, eps, t_points, q, integrand=_integrand):
     """Cumulative conditional sub-distributions, vectorized over atoms.
 
@@ -357,21 +348,20 @@ def _cause_curves(specs, eps, t_points, q, integrand=_integrand):
     ``_tangent_integrand`` it returns the (1 + P + L, W, L, n) stack of
     that table and its derivatives instead.
 
-    Up to t_lo (``_table_segments``) the table is the integrand's closed
+    Up to t_lo (``_segment_points``) the table is the integrand's closed
     form head.  Past it, all segments between breakpoints are integrated in
     x = log t in one batched call, and a cumulative sum over them, on top of
     the head at t_lo, gives the table.
     """
     eps = np.asarray(eps, dtype=float)
-    ts, points, lo, starts, ends, wide = _table_segments(specs, t_points, q)
+    points, at, lo, starts, ends, wide = _segment_points(specs, t_points, q)
     f, head, shape = integrand(specs, eps)
     vals = np.zeros((points.size, int(np.prod(shape))))
     vals[:lo + 1] = head(points[:lo + 1])
     vals[lo + 1:][wide], _ = integrate(f, starts[wide], ends[wide], q.rel_tol,
                                        q.abs_tol, q.max_subdivisions)
     vals[lo:] = np.cumsum(vals[lo:], axis=0)
-    table = vals[np.searchsorted(points, ts)]
-    return table.T.reshape(shape + (-1,)).swapaxes(-3, -2)
+    return vals[at].T.reshape(shape + (-1,)).swapaxes(-3, -2)
 
 
 def _grid_tangents(m, points):

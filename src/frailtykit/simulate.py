@@ -98,10 +98,10 @@ def _simulate_shard(m, seed, shard_index, count, censoring_rate,
     atom_idx = fr.sample(m.frailty, rng, count)
     exp_draws = {k: rng.exponential(size=count) for k in (1, 2)}
     cause_draws = {k: rng.random(count) for k in (1, 2)}
-    censor = None
-    if censoring_rate > 0.0:
-        censor = {k: rng.exponential(scale=1.0 / censoring_rate, size=count)
-                  for k in (1, 2)}
+    # at rate 0 nothing is drawn and every individual is observed
+    censor = {k: rng.exponential(scale=1.0 / censoring_rate, size=count)
+              if censoring_rate > 0.0 else np.full(count, np.inf)
+              for k in (1, 2)}
 
     out = {}
     for k in (1, 2):
@@ -119,15 +119,9 @@ def _simulate_shard(m, seed, shard_index, count, censoring_rate,
         causes = 1 + np.sum(cause_draws[k] * total >= cum,
                             axis=0).astype(np.int64)
         causes = np.minimum(causes, len(specs))
-        if censor is not None:
-            observed = np.minimum(times, censor[k])
-            event = times <= censor[k]
-            causes = np.where(event, causes, 0)
-            times = observed
-        else:
-            event = np.ones(count, dtype=bool)
-        out[f"t{k}"] = times
-        out[f"j{k}"] = causes
+        event = times <= censor[k]
+        out[f"t{k}"] = np.minimum(times, censor[k])
+        out[f"j{k}"] = np.where(event, causes, 0)
         out[f"d{k}"] = event
     if record_atoms:
         out["atom_id"] = atom_idx

@@ -252,6 +252,32 @@ def test_eval_file_matches_the_per_row_template(files):
     assert out.read_bytes() == "".join(rows).encode("utf-8")
 
 
+@pytest.mark.contract
+def test_eval_takes_any_nonempty_increasing_grid(files, capsys):
+    # the 5-point minimum is a rule for probes, not for tabulating F and f
+    t1, t2 = [0.5, 1.0, 2.0], [1.0]
+    grid_path, out = files["dir"] / "short.json", files["dir"] / "F.csv"
+    grid_path.write_text(json.dumps({"t1_points": t1, "t2_points": t2}))
+    assert run(["eval", "--model", files["m"], "--grid", str(grid_path),
+                "--out", str(out)]) == 0
+    m = model_from_dict(MODEL)
+    big_f = md.joint_sub_distribution_grid(m, t1, t2)
+    assert big_f.shape == (2, 2, 3, 1)
+    rows = np.loadtxt(out, delimiter=",", skiprows=1)
+    np.testing.assert_array_equal(rows[:, 4],
+                                  big_f.transpose(2, 3, 0, 1).ravel())
+    capsys.readouterr()
+    for points, message in (([], "need a one-dimensional nonempty time grid"),
+                            ([1.0, 0.5], "time grid must be strictly "
+                             "increasing")):
+        grid_path.write_text(json.dumps({"t1_points": t1,
+                                         "t2_points": points}))
+        assert run(["eval", "--model", files["m"], "--grid", str(grid_path),
+                    "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {grid_path}: bad grid: {message}\n")
+
+
 def test_eval_gives_a_finite_grid_for_a_small_shape_model(files):
     out = files["dir"] / "F.csv"
     assert run(["eval", "--model", files["small"], "--grid", files["grid"],
@@ -261,6 +287,7 @@ def test_eval_gives_a_finite_grid_for_a_small_shape_model(files):
     assert np.all(np.isfinite(rows))
 
 
+@pytest.mark.contract
 def test_simulate_draws_causes_where_a_hazard_overflows(files):
     # every failure time of this model lies below the smallest normal
     # double, so the solver returns it a few ulp above it, where h of
@@ -434,6 +461,7 @@ def test_library_input_errors_exit_2_with_their_message(files, tmp_path,
         "(1, 1, 6, 6)\n")
 
 
+@pytest.mark.contract
 def test_validate_names_a_malformed_model_block(tmp_path, capsys):
     path = tmp_path / "list.json"
     path.write_text(json.dumps([1, 2]))

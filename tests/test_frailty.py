@@ -60,6 +60,7 @@ def test_coordinate_layout():
     assert s.coordinate_of(1, 1) == s.coordinate_of(2, 2) == 0
 
 
+@pytest.mark.contract
 @pytest.mark.parametrize("kind", ALL_KINDS)
 @pytest.mark.parametrize("l", [1, 2, 3, 4])
 def test_layout_matches_the_closed_forms(kind, l):
@@ -84,6 +85,7 @@ def test_layout_matches_the_closed_forms(kind, l):
         assert type(s.coordinate_of(k, j)) is int
 
 
+@pytest.mark.contract
 @pytest.mark.parametrize("count", [2.7, 2.0, True, "2", None, 0, -1])
 def test_cause_counts_must_be_integers_of_at_least_one(count):
     for kind in ALL_KINDS:
@@ -97,6 +99,7 @@ def test_cause_counts_must_be_integers_of_at_least_one(count):
     assert (type(s.num_causes_1), s.num_causes(2)) == (int, 3)
 
 
+@pytest.mark.contract
 @pytest.mark.parametrize("k", [1.0, 2.0, True, 0, 3, np.int64(3), "1"])
 def test_individual_index_must_be_1_or_2(k):
     for kind in ALL_KINDS:
@@ -107,6 +110,7 @@ def test_individual_index_must_be_1_or_2(k):
                 call(k)
 
 
+@pytest.mark.contract
 @pytest.mark.parametrize("j", [1.5, 2.0, True, 0, 3, -1])
 def test_cause_index_must_be_an_integer_in_range(j):
     for kind in ALL_KINDS:
@@ -218,6 +222,7 @@ def test_sample_rejects_a_count_that_is_not_a_nonnegative_integer(n):
         sample(g, 7, n)
 
 
+@pytest.mark.contract
 @pytest.mark.parametrize("seed", [1.5, "a", True, -1, 2 ** 64])
 def test_sample_rejects_a_seed_that_is_not_a_64_bit_integer(seed):
     g = make(FrailtyKind.SHARED, [[1.0]], [1.0])

@@ -41,6 +41,7 @@ def test_hazard_rate_known_values():
                - 0.5) < 1e-14
 
 
+@pytest.mark.contract
 def test_cumulative_hazard_known_values():
     assert abs(cumulative_hazard(HazardSpec(Family.WEIBULL, 2.0, 1.0), 1.5)
                - 2.25) < 1e-15
@@ -307,6 +308,7 @@ _TANGENT_SPECS = [(Family.EXPONENTIAL, 1.0), (Family.WEIBULL, 0.5),
                   (Family.GAMMA, 2.5), (Family.GAMMA, 7.0)]
 
 
+@pytest.mark.contract
 @pytest.mark.parametrize("family, g", _TANGENT_SPECS)
 def test_hazard_tangents_match_mpmath(family, g):
     # t from 1e-300 to 1e3, and for gamma both sides of the seams at
@@ -345,6 +347,7 @@ def test_hazard_tangents_match_mpmath(family, g):
                         name, part, ti)
 
 
+@pytest.mark.contract
 @pytest.mark.parametrize("g", [0.6, 2.5])
 def test_loglogistic_kernel_matches_mpmath_across_the_log_power_range(g):
     # z = log alpha + gamma log t from -745 to 745 where t is a normal
@@ -400,6 +403,7 @@ def _masked_gamma_kernel(g, a, t):
     return log_h, -log_q
 
 
+@pytest.mark.contract
 @pytest.mark.parametrize("g", [0.5, 2.5])
 @pytest.mark.parametrize("x", [
     np.array(0.3), np.array(700.0), np.array([2.0]), np.array([45.0]),
@@ -420,6 +424,7 @@ def test_gamma_kernel_matches_its_masked_form(g, x):
         assert np.all(np.abs(part - want) <= 2 * np.spacing(np.abs(want)))
 
 
+@pytest.mark.contract
 @pytest.mark.parametrize("family", ALL_FAMILIES)
 def test_shared_kernel_equals_the_public_functions_bit_for_bit(family):
     # gamma = 700 puts the gamma family's x = g + 1 seam past x = 600
@@ -436,6 +441,7 @@ def test_shared_kernel_equals_the_public_functions_bit_for_bit(family):
                 and np.array_equal(cum_row, cum))
 
 
+@pytest.mark.contract
 def test_shared_kernel_is_warning_free_at_time_zero():
     # power hazards at t = 0, where the kernel's log h is log 0 or
     # 0 * -inf; cumulative_hazard drops it, and RuntimeWarning is an error
@@ -474,6 +480,28 @@ def test_gamma_inverse_is_vectorized_and_keeps_shapes():
     assert isinstance(inverse_cumulative_hazard(spec, 2.0), float)
 
 
+@pytest.mark.contract
+@pytest.mark.parametrize("gamma, alpha", [(1.5, 1.0), (0.3, 2.0), (5.0, 1e-6),
+                                          (0.01, 1e6)])
+def test_gamma_inverse_past_the_time_ceiling_is_linear_in_the_load(gamma,
+                                                                    alpha):
+    # far out H(t) = alpha t to rounding, so the root v / alpha is a finite
+    # double up to the double range and inf past it
+    spec = HazardSpec(Family.GAMMA, gamma, alpha)
+    loads = [1e301 * alpha, 1e305 * min(alpha, 1.0)]
+    v = np.array(loads + [0.5, 3.0, 800.0, 1e308])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        t = inverse_cumulative_hazard(spec, v)
+        for vi, ti in zip(v, t):
+            assert inverse_cumulative_hazard(spec, float(vi)) == ti
+    for vi, ti in zip(loads, t):
+        assert ti == vi / alpha
+        assert cumulative_hazard(spec, ti) == vi
+    assert t[-1] == (1e308 / alpha if alpha >= 1.0 else np.inf)
+    assert np.all(np.isfinite(t[:-1]))
+
+
 @st.composite
 def _load_problems(draw):
     specs = []
@@ -499,6 +527,7 @@ def test_total_load_roots_reach_their_targets(problem):
     assert np.all(np.abs(load - target) <= 1e-12 * target)
 
 
+@pytest.mark.contract
 def test_load_roots_where_the_hazard_overflows_solve_in_log_time():
     # h of W(0.01, 1e6) overflows up to about 1e-307, while the load's
     # log-time slope t h = 0.01 H stays finite.  H(2.2e-308) is 838.4, so

@@ -370,6 +370,7 @@ def test_recovery_budget_caps_every_grid_evaluation(benchmark_pair, budget,
     assert md.model_to_dict(res.model) == md.model_to_dict(best_model)
 
 
+@pytest.mark.contract
 @pytest.mark.parametrize("failure", ["raise", "nan", "quadrature"])
 def test_recovery_survives_points_where_the_grid_fails(benchmark_pair,
                                                        failure, monkeypatch):
@@ -515,6 +516,7 @@ def _one_atom_and_small_gamma_models():
     return [one, small]
 
 
+@pytest.mark.contract
 def test_exact_jacobian_matches_tight_central_differences():
     rng = np.random.default_rng(23)
     models = [random_model(kind, rng, gamma_range=(0.5, 3.0))
@@ -554,6 +556,7 @@ def test_a_jacobian_that_does_not_fit_the_budget_is_not_started(
     assert (res.evaluations, len(tangents)) == (size + 1, 1)
 
 
+@pytest.mark.contract
 @pytest.mark.parametrize("failure", ["raise", "nan", "quadrature"])
 def test_a_jacobian_that_fails_ends_the_recovery_unconverged(
         benchmark_pair, failure, monkeypatch):
@@ -758,6 +761,7 @@ def test_mle_log_likelihood_is_the_summed_log_joint_sub_density():
     assert families == set(Family)
 
 
+@pytest.mark.contract
 def test_likelihood_reuses_unchanged_hazard_slots_bit_for_bit(monkeypatch):
     # one fit's reuse state through a change of one slot, of the atoms only,
     # of the weights only, and back to earlier specs: each value equals a
@@ -811,6 +815,7 @@ def test_log_likelihood_is_minus_inf_where_every_atom_term_is():
         assert _log_likelihood(m, *arrays) == -np.inf
 
 
+@pytest.mark.contract
 def test_gamma_hazards_past_the_double_range_take_their_limits():
     # alpha t = inf, where the continued fraction of Q has no terms: Q = 0,
     # H = inf and h = alpha, its limit as t grows; the pair's density is 0
@@ -828,6 +833,7 @@ def test_gamma_hazards_past_the_double_range_take_their_limits():
             m, *_dataset_arrays([pair], m.structure)) == -np.inf
 
 
+@pytest.mark.contract
 @pytest.mark.parametrize("family", ALL_FAMILIES)
 def test_log_likelihood_raises_no_invalid_flag_at_extreme_times(family):
     # pairs from 1e-300 to 1.7e308, where H and h saturate: each pair's
@@ -886,6 +892,7 @@ def test_default_grid_rejects_levels_outside_the_unit_interval(
         default_probe_grid(benchmark_pair[1], levels)
 
 
+@pytest.mark.contract
 @pytest.mark.parametrize("levels", [
     [],
     (0.1, 0.25, 0.5, 0.75),

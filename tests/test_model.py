@@ -52,7 +52,6 @@ from frailtykit.model import (
     _cause_curves,
     _mix,
     _segment_points,
-    _table_segments,
     _tangent_integrand,
     _total_level_time,
     sub_distribution_table,
@@ -370,6 +369,7 @@ def _tangent_pass_gap(m, t1s, t2s):
     return float(np.max(np.abs(_mix(m, *values) - adaptive))) / 2.0 ** -52
 
 
+@pytest.mark.contract
 def test_tangent_pass_values_reproduce_the_adaptive_grid():
     rng = np.random.default_rng(29)
     families = set()
@@ -381,6 +381,7 @@ def test_tangent_pass_values_reproduce_the_adaptive_grid():
     assert families == set(ALL_FAMILIES)
 
 
+@pytest.mark.contract
 def test_tangent_pass_skips_zero_width_segments():
     st = FrailtyStructure(FrailtyKind.SHARED, 2, 2)
     g = DiscreteFrailty(st, [[0.6], [1.4]], [0.5, 0.5])
@@ -390,7 +391,7 @@ def test_tangent_pass_skips_zero_width_segments():
     # 1e300 and the next double share one log, so one segment has zero width
     t1s = np.array([0.3, 1.5, 1e300, np.nextafter(1e300, np.inf)])
     assert np.log(t1s[2]) == np.log(t1s[3])
-    wide = _table_segments(specs, t1s, DEFAULT_QUADRATURE)[-1]
+    wide = _segment_points(specs, t1s, DEFAULT_QUADRATURE)[-1]
     assert not wide.all()
     assert _tangent_pass_gap(m, t1s, [0.2, 0.9, 2.0]) <= 4.0
 
@@ -414,6 +415,7 @@ def test_model_dict_round_trip(shared_two_atom):
 _SPEC = {"family": "weibull", "gamma": 1.5, "alpha": 0.5}
 
 
+@pytest.mark.contract
 @pytest.mark.parametrize("load, block, message", [
     (model_from_dict, [1, 2], "model must be an object, got list"),
     (structure_from_dict, [1], "structure must be an object, got list"),
@@ -462,6 +464,7 @@ def _total(specs, t):
     return sum(cumulative_hazard(sp, t) for sp in specs)
 
 
+@pytest.mark.contract
 @pytest.mark.parametrize("specs", LEVEL_SPEC_SETS)
 def test_level_times_land_near_their_levels(specs):
     # the breakpoints only guide the adaptive rule, so they need to sit
@@ -476,9 +479,11 @@ def test_level_times_land_near_their_levels(specs):
     assert np.max(np.abs(np.log2(totals / levels))) <= 0.01
 
 
+@pytest.mark.contract
 def test_level_ladder_spans_the_absolute_tolerance_to_t_max():
     specs = [W(1.5, 0.5), W(0.8, 1.0)]
-    points = _segment_points(specs, np.array([5.0]), 1e-12)
+    points = _segment_points(specs, np.array([5.0]),
+                             QuadratureConfig(abs_tol=1e-12))[0]
     assert points[-1] == 5.0
     totals = np.array([_total(specs, t) for t in points])
     # 2**-40 is the largest power of two not above 1e-12; 2**3 is the last
@@ -507,6 +512,7 @@ def _probe_tables(m):
             for k, ts in ((1, grid.t1_points), (2, grid.t2_points))]
 
 
+@pytest.mark.contract
 @pytest.mark.parametrize("family", ALL_FAMILIES)
 @pytest.mark.parametrize("kind", ALL_KINDS)
 def test_tables_sum_to_the_conditional_failure_probability(kind, family):
@@ -521,6 +527,7 @@ def test_tables_sum_to_the_conditional_failure_probability(kind, family):
         assert np.max(np.abs(table.sum(axis=1) - exact)) <= 1e-12
 
 
+@pytest.mark.contract
 @pytest.mark.parametrize("gamma", [0.3, 1.0, 2.5])
 def test_common_shape_power_tables_match_their_closed_form(gamma):
     # with one shape, h_j / sum_j' eps_j' h_j' is constant in t, so each
@@ -541,6 +548,7 @@ EXTREME_SHAPES = [W(0.05, 1.0), W(40.0, 1.0), G(0.2, 1.0), G(8.0, 1.0),
                   LL(0.2, 1.0), LL(12.0, 1.0)]
 
 
+@pytest.mark.contract
 @pytest.mark.parametrize("spec", EXTREME_SHAPES)
 def test_extreme_shape_tables_match_a_tight_reference(spec):
     specs = [spec, W(0.8, 1.0)]
@@ -554,6 +562,7 @@ def test_extreme_shape_tables_match_a_tight_reference(spec):
     assert np.max(np.abs(got - ref)) <= 1e-12
 
 
+@pytest.mark.contract
 @pytest.mark.parametrize("ts", [[1e-320], [1e-320, 1.0, 1e200]])
 @pytest.mark.parametrize("family", ALL_FAMILIES)
 def test_extreme_t_max_gives_a_finite_table_without_a_warning(family, ts):
@@ -572,6 +581,7 @@ def test_extreme_t_max_gives_a_finite_table_without_a_warning(family, ts):
                                rtol=0.0, atol=1e-12)
 
 
+@pytest.mark.contract
 def test_saturating_times_give_exact_values_without_a_warning(
         shared_two_atom):
     # every load overflows to inf at these times; BLAS flagged inf loads
@@ -598,6 +608,7 @@ def test_saturating_times_give_exact_values_without_a_warning(
     assert np.all(np.abs(table.sum(axis=1)[:, 0] - exact[1e220][0]) <= tol)
 
 
+@pytest.mark.contract
 def test_criterion_7_tables_converge_in_one_gauss_kronrod_round(
         shared_two_atom, monkeypatch):
     calls = []
@@ -615,6 +626,7 @@ def test_criterion_7_tables_converge_in_one_gauss_kronrod_round(
             assert len(calls) == 1
 
 
+@pytest.mark.contract
 def test_breakpoints_cost_one_hazard_call_per_table(shared_two_atom,
                                                     monkeypatch):
     calls = []
@@ -628,8 +640,23 @@ def test_breakpoints_cost_one_hazard_call_per_table(shared_two_atom,
     for m in (shared_two_atom, _bench_mixed_model()):
         for specs, _, ts in _probe_tables(m):
             calls.clear()
-            _segment_points(specs, ts, DEFAULT_QUADRATURE.abs_tol)
+            _segment_points(specs, ts, DEFAULT_QUADRATURE)
             assert len(calls) == 1
+
+
+@pytest.mark.contract
+def test_breakpoints_index_the_requested_times_and_the_head_end(
+        shared_two_atom):
+    # the head ends at the time of the first level, the largest power of two
+    # not above abs_tol, kept to [smallest normal double, last time]
+    first = np.array([2.0 ** (np.frexp(DEFAULT_QUADRATURE.abs_tol)[1] - 1)])
+    for m in (shared_two_atom, _bench_mixed_model()):
+        for specs, _, ts in _probe_tables(m):
+            points, at, lo = _segment_points(specs, ts, DEFAULT_QUADRATURE)[:3]
+            assert np.all(np.diff(points) > 0.0)
+            assert np.array_equal(points[at], ts)
+            t_lo = _total_level_time(specs, first, ts[-1])[0]
+            assert points[lo] == min(max(t_lo, np.finfo(float).tiny), ts[-1])
 
 
 SMALL_SHAPE_CAUSES = [W(0.01, 1e6), W(0.02, 1.0), W(0.05, 1e-6),
@@ -637,6 +664,7 @@ SMALL_SHAPE_CAUSES = [W(0.01, 1e6), W(0.02, 1.0), W(0.05, 1e-6),
                       LL(0.05, 1e6)]
 
 
+@pytest.mark.contract
 @pytest.mark.parametrize("spec", SMALL_SHAPE_CAUSES)
 def test_small_shape_tables_keep_the_mass_below_the_smallest_normal_double(
         spec):
@@ -655,6 +683,7 @@ def test_small_shape_tables_keep_the_mass_below_the_smallest_normal_double(
     assert np.max(np.abs(table.sum(axis=1) - exact)) <= 1e-12
 
 
+@pytest.mark.contract
 @pytest.mark.parametrize("spec", SMALL_SHAPE_CAUSES)
 def test_tangent_integrand_is_finite_where_the_hazard_overflows(spec):
     # h of W(0.01, 1e6) overflows near the smallest normal double, where
@@ -667,6 +696,7 @@ def test_tangent_integrand_is_finite_where_the_hazard_overflows(spec):
     assert np.array_equal(got[:, :values.shape[1]], values)
 
 
+@pytest.mark.contract
 @pytest.mark.parametrize("specs", [[W(1.5, 0.5), W(0.8, 1.0)],
                                    [E(0.5), W(1.3, 0.7), LL(0.6, 1.2)]])
 def test_tangent_integrand_makes_one_kernel_call_per_cause(specs,
@@ -867,6 +897,7 @@ def test_non_finite_times_raise(shared_two_atom, t):
             call()
 
 
+@pytest.mark.contract
 @pytest.mark.parametrize("call", [
     lambda m, t: joint_sub_density(m, 1, 1, t, t),
     lambda m, t: joint_sub_distribution(m, 1, 1, t, t),

@@ -215,6 +215,7 @@ def test_observation_validation():
         BivariateObservation(t1=1.0, j1=1, d1=False, t2=1.0, j2=1, d2=True)
 
 
+@pytest.mark.contract
 @pytest.mark.parametrize("j", [1.0, 1.5, np.float64(2.0), True, "1"])
 def test_observation_rejects_a_cause_label_that_is_not_an_integer(j):
     # fit_mle's int64 cause column would truncate 1.5 to cause 1
@@ -306,6 +307,7 @@ def test_csv_reader_rejects_non_finite_times_and_bad_flags(tmp_path):
     assert obs.d1 is True and obs.d2 is False
 
 
+@pytest.mark.contract
 def test_csv_reader_returns_a_read_only_sequence_of_observations(tmp_path):
     m = exp_model([0.5, 0.5], atoms=((0.8,), (1.2,)), weights=(0.4, 0.6))
     cfg = SimConfig(n_pairs=40, seed=8, censoring_rate=0.6)
@@ -330,6 +332,7 @@ def test_csv_reader_returns_a_read_only_sequence_of_observations(tmp_path):
     assert not hasattr(data, "append")
 
 
+@pytest.mark.contract
 @pytest.mark.parametrize("early, late", [
     ("0,1.0,1,1,2.0,x,1", "0,zebra,1,1,2.0,1,1"),
     ("0,zebra,1,1,2.0,1,1", "0,1.0,1,1,2.0,x,1"),
@@ -348,6 +351,7 @@ def test_csv_reader_reports_the_first_bad_row_in_line_order(tmp_path, early,
         read_dataset_csv(str(path))
 
 
+@pytest.mark.contract
 def test_csv_reader_keeps_line_numbers_across_blank_lines(tmp_path):
     path = tmp_path / "pairs.csv"
     header = "pair_id,t1,j1,d1,t2,j2,d2\n"
@@ -364,6 +368,7 @@ def test_csv_reader_keeps_line_numbers_across_blank_lines(tmp_path):
         read_dataset_csv(str(path))
 
 
+@pytest.mark.contract
 def test_csv_reader_reads_a_header_only_file_as_empty(tmp_path):
     path = tmp_path / "pairs.csv"
     path.write_text("pair_id,t1,j1,d1,t2,j2,d2\n\n")
@@ -465,6 +470,7 @@ def test_load_inversion_is_exact_for_power_loads(g):
     assert np.all(np.abs(got - ref) <= 4 * np.finfo(float).eps * ref)
 
 
+@pytest.mark.contract
 def test_load_inversion_converges_in_a_few_newton_steps(monkeypatch):
     # the draw of a shard: exponential targets, one load per atom row
     calls = []
