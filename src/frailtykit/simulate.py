@@ -213,6 +213,20 @@ _COLUMN_TYPES = {"t1": float, "j1": np.int64, "d1": bool,
                  "t2": float, "j2": np.int64, "d2": bool}
 
 
+def _column_error(columns):
+    """The ``BivariateObservation`` message of a check that some row of the
+    t/j/d columns fails, or None: times finite and strictly positive, cause
+    0 exactly where the row is censored, causes nonnegative."""
+    t1, j1, d1, t2, j2, d2 = (columns[key] for key in _COLUMN_TYPES)
+    if not np.all((t1 > 0.0) & (t1 < math.inf) & (t2 > 0.0) & (t2 < math.inf)):
+        return "observed times must be finite and strictly positive"
+    if not np.all(((j1 == 0) != d1) & ((j2 == 0) != d2)):
+        return "cause 0 must pair with a censoring flag"
+    if not np.all((j1 >= 0) & (j2 >= 0)):
+        return "cause labels are nonnegative"
+    return None
+
+
 class ObservationColumns(Sequence):
     """A dataset held as t/j/d column arrays, read-only: a sequence of the
     ``BivariateObservation``s of its rows, built on access, equal to a list
@@ -221,8 +235,20 @@ class ObservationColumns(Sequence):
     bool censoring flags."""
 
     def __init__(self, columns):
-        self.columns = {key: np.asarray(columns[key], dtype=dtype)
+        raw = {key: np.asarray(columns[key]) for key in _COLUMN_TYPES}
+        if len({col.shape for col in raw.values()}) != 1 or raw["t1"].ndim != 1:
+            raise ValueError("columns must be 1-D arrays of one length")
+        for key in ("j1", "j2"):
+            # as in BivariateObservation, a float or bool is no label, not
+            # even 1.0; an empty list arrives as float
+            if raw[key].size and raw[key].dtype.kind not in "iu":
+                raise ValueError("cause labels must be integers, got "
+                                 f"{raw[key].dtype} values")
+        self.columns = {key: raw[key].astype(dtype, copy=False)
                         for key, dtype in _COLUMN_TYPES.items()}
+        error = _column_error(self.columns)
+        if error is not None:
+            raise ValueError(error)
         for col in self.columns.values():
             col.flags.writeable = False
 
@@ -274,11 +300,8 @@ def _checked_columns(rows):
     except (ValueError, OverflowError):
         return None
     d1, d2 = np.array(d1) == "1", np.array(d2) == "1"
-    times_ok = (t1 > 0.0) & (t1 < math.inf) & (t2 > 0.0) & (t2 < math.inf)
-    causes_ok = ((j1 == 0) != d1) & ((j2 == 0) != d2) & (j1 >= 0) & (j2 >= 0)
-    if not (times_ok & causes_ok).all():
-        return None
-    return dict(zip(_COLUMN_TYPES, (t1, j1, d1, t2, j2, d2)))
+    columns = dict(zip(_COLUMN_TYPES, (t1, j1, d1, t2, j2, d2)))
+    return None if _column_error(columns) else columns
 
 
 def _checked_row(parts):

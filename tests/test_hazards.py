@@ -21,7 +21,8 @@ from frailtykit import (
     inverse_cumulative_hazard,
     validate_family,
 )
-from frailtykit._incgamma import cf_upper_sum
+from frailtykit import _incgamma
+from frailtykit._incgamma import _SERIES_MIN_SIZE, cf_upper_sum
 from frailtykit._quad import integrate_power_substituted
 from frailtykit.hazards import (_hazard_tangents, _log_hazard_and_cumulative,
                                 _solve_total_load, _stacked_log_rates)
@@ -279,6 +280,75 @@ def test_shared_gamma_kernel_matches_mpmath(g):
         tol = 5e-14 if xi < 1e-3 else 1.5e-14
         assert abs(hi - h_ref) <= tol * h_ref, xi
         assert abs(ci - cum_ref) <= tol * cum_ref, xi
+
+
+def _gamma_kernel_points(g):
+    # the points of test_gamma_hazard_and_cumulative_match_mpmath, as x
+    edges = [c * f for c in (g + 1.0, 40.0, 600.0)
+             for f in (1 - 1e-12, 1.0, 1 + 1e-12)]
+    return np.concatenate([np.geomspace(1e-10, 900.0, 60), edges])
+
+
+@pytest.mark.contract
+@pytest.mark.parametrize("g", [0.3, 0.8, 1.0, 1.6, 2.5, 3.0, 6.0, 10.0])
+def test_gamma_kernel_on_bulk_arrays_matches_mpmath(g):
+    # the points above, tiled until the part below the x = g + 1 seam
+    # reaches the lower-tail series' gate, at the same tolerances
+    a = 0.7
+    x = _gamma_kernel_points(g)
+    reps = -(-_SERIES_MIN_SIZE // np.count_nonzero(x < g + 1.0))
+    spec = HazardSpec(Family.GAMMA, g, a)
+    log_h, cum = _log_hazard_and_cumulative(spec, np.tile(x / a, reps))
+    h = np.exp(log_h).reshape(reps, -1)[0]
+    cum = cum.reshape(reps, -1)[0]
+    for xi, hi, ci in zip(x, h, cum):
+        h_ref, cum_ref = _mp_gamma_h_and_cum(g, a, float(xi))
+        tol = 5e-14 if xi < 1e-3 else 1.5e-14
+        assert abs(hi - h_ref) <= tol * h_ref, xi
+        assert abs(ci - cum_ref) <= tol * cum_ref, xi
+
+
+@pytest.mark.contract
+@pytest.mark.parametrize("g", [0.3, 1.6, 6.0, 10.0])
+def test_gamma_kernel_agrees_between_bulk_and_small_arrays(g):
+    a = 0.7
+    t = np.geomspace(1e-10, 2.0 * (g + 1.0), 15) / a
+    bulk = np.concatenate([t, np.linspace(1e-3, g + 0.9, 4096) / a])
+    spec = HazardSpec(Family.GAMMA, g, a)
+    small = _log_hazard_and_cumulative(spec, t)
+    big = _log_hazard_and_cumulative(spec, bulk)
+    h_small, h_big = np.exp(small[0]), np.exp(big[0][:t.size])
+    np.testing.assert_allclose(h_big, h_small, rtol=5e-14, atol=0.0)
+    np.testing.assert_allclose(big[1][:t.size], small[1], rtol=5e-14,
+                               atol=0.0)
+
+
+@pytest.mark.contract
+def test_gamma_kernel_takes_the_series_on_bulk_arrays_only(monkeypatch):
+    calls = {"series": 0, "gammainc": 0}
+    series, gammainc = _incgamma.series_lower_sum, special.gammainc
+
+    def counting_series(s, x):
+        calls["series"] += 1
+        return series(s, x)
+
+    def counting_gammainc(s, x):
+        calls["gammainc"] += 1
+        return gammainc(s, x)
+
+    monkeypatch.setattr(_incgamma, "series_lower_sum", counting_series)
+    monkeypatch.setattr(special, "gammainc", counting_gammainc)
+    # every time below the seam at x = 2.6
+    bulk = np.linspace(0.01, 3.0, 4096)
+    for spec, t, want in ((HazardSpec(Family.GAMMA, 1.6, 0.8), bulk,
+                           {"series": 1, "gammainc": 0}),
+                          (HazardSpec(Family.GAMMA, 1.6, 0.8), bulk[:705],
+                           {"series": 0, "gammainc": 1}),
+                          (HazardSpec(Family.GAMMA, 12.0, 0.8), bulk,
+                           {"series": 0, "gammainc": 1})):
+        calls.update(series=0, gammainc=0)
+        _log_hazard_and_cumulative(spec, t)
+        assert calls == want
 
 
 def _mp_h_and_cum(family, log_g, log_a, t):

@@ -1,11 +1,14 @@
 """Upper regularized incomplete gamma against the scipy and mpmath oracles."""
 
+import warnings
+
 import mpmath
 import numpy as np
 import pytest
 from scipy import special
 
 from frailtykit._incgamma import (
+    _SERIES_MIN_SIZE,
     IncompleteGammaError,
     gammainc_upper,
     log_gammainc_upper,
@@ -116,3 +119,45 @@ def test_scalar_and_zero_dimensional_inputs():
     assert isinstance(log_gammainc_upper(2.0, 800.0), float)
     assert isinstance(gammainc_upper(np.float64(2.0), np.asarray(3.0)), float)
     assert log_gammainc_upper(np.asarray([1.5, 1.5]), 0.0).tolist() == [0.0, 0.0]
+
+
+# Bulk arrays: a scalar shape with at least _SERIES_MIN_SIZE x below the
+# seam takes P from the Horner series instead of scipy's gammainc.
+BULK_SHAPES = [0.3, 0.8, 1.0, 1.6, 2.5, 3.0, 6.0, 10.0]
+
+
+def _tiled(x, s):
+    """x repeated until its part below the seam reaches the series gate."""
+    below = np.count_nonzero(x < s + 1.0)
+    return np.tile(x, -(-_SERIES_MIN_SIZE // below))
+
+
+@pytest.mark.contract
+@pytest.mark.parametrize("s", BULK_SHAPES)
+def test_bulk_log_q_matches_mpmath(s):
+    x = _kernel_points(s)
+    log_q = log_gammainc_upper(s, _tiled(x, s)).reshape(-1, x.size)
+    for xi, li in zip(x, log_q.T):
+        _, ref = _mp_q_and_log_q(s, float(xi))
+        assert np.all(li == li[0])
+        assert abs(li[0] - float(ref)) <= 5e-14 * abs(float(ref)), xi
+
+
+@pytest.mark.contract
+def test_bulk_log_q_is_relatively_accurate_at_tiny_x():
+    for s in (0.3, 1.0, 2.5):
+        _, ref = _mp_q_and_log_q(s, 1e-10)
+        got = log_gammainc_upper(s, np.full(_SERIES_MIN_SIZE, 1e-10))
+        assert np.all(got < 0.0)
+        assert np.all(np.abs(got - float(ref)) <= 5e-14 * abs(float(ref)))
+
+
+@pytest.mark.contract
+def test_bulk_log_q_at_zero_and_infinity_without_warnings():
+    x = np.concatenate([[0.0, np.inf], np.geomspace(1e-6, 2.0, 4094)])
+    for s in (0.3, 1.6, 6.0):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            log_q = log_gammainc_upper(s, x)
+        assert log_q[0] == 0.0 and log_q[1] == -np.inf
+        assert np.all(np.isfinite(log_q[2:]))

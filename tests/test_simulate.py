@@ -14,6 +14,7 @@ from frailtykit import (
     FrailtyStructure,
     HazardSpec,
     ModelSpec,
+    ObservationColumns,
     SimConfig,
     cumulative_hazard,
     dkw_bandwidth,
@@ -88,13 +89,17 @@ def test_empirical_marginals_within_dkw_band():
 def test_seed_determinism_and_thread_invariance():
     rng = np.random.default_rng(55)
     m = random_model(FrailtyKind.CORRELATED, rng, num_atoms=2)
+    # gamma causes only: full shards take the lower-tail series
+    m_gamma = random_model(FrailtyKind.CORRELATED, rng, num_atoms=2,
+                           families=(Family.GAMMA,))
     cfg = SimConfig(n_pairs=9000, seed=123)
-    t_a = simulate_table(m, cfg)
-    t_b = simulate_table(m, cfg)
-    t_c = simulate_table(m, cfg, threads=4)
-    for col in t_a:
-        np.testing.assert_array_equal(t_a[col], t_b[col])
-        np.testing.assert_array_equal(t_a[col], t_c[col])
+    for model in (m, m_gamma):
+        t_a = simulate_table(model, cfg)
+        t_b = simulate_table(model, cfg)
+        t_c = simulate_table(model, cfg, threads=4)
+        for col in t_a:
+            np.testing.assert_array_equal(t_a[col], t_b[col])
+            np.testing.assert_array_equal(t_a[col], t_c[col])
 
 
 def test_full_shards_do_not_depend_on_total_count():
@@ -224,6 +229,40 @@ def test_observation_rejects_a_cause_label_that_is_not_an_integer(j):
     with pytest.raises(ValueError, match="cause labels must be integers"):
         BivariateObservation(1.0, j, True, 2.0, 1, True)
     assert BivariateObservation(1.0, np.int64(2), True, 2.0, 1, True).j1 == 2
+
+
+_BAD_CELLS = [("j1", -1, "cause labels are nonnegative"),
+              ("j2", -3, "cause labels are nonnegative"),
+              ("j1", 0, "cause 0 must pair with a censoring flag"),
+              ("j2", 1.5, "cause labels must be integers"),
+              ("t1", 0.0, "finite and strictly positive"),
+              ("t2", -1.0, "finite and strictly positive"),
+              ("t1", np.inf, "finite and strictly positive")]
+
+
+@pytest.mark.contract
+@pytest.mark.parametrize("key, value, message", _BAD_CELLS)
+def test_observation_columns_reject_what_an_observation_rejects(key, value,
+                                                              message):
+    # fit_mle gathers its rates by cause: a negative one would wrap into
+    # another cause's row
+    table = simulate_table(exp_model([0.4, 0.6]), SimConfig(n_pairs=200,
+                                                            seed=1))
+    columns = {k: table[k].astype(type(value)) if k == key else table[k]
+               for k in ("t1", "j1", "d1", "t2", "j2", "d2")}
+    columns[key][17] = value
+    with pytest.raises(ValueError, match=message):
+        ObservationColumns(columns)
+    with pytest.raises(ValueError, match=message):
+        BivariateObservation(**{k: col[17].item()
+                                for k, col in columns.items()})
+
+
+def test_observation_columns_reject_columns_of_unequal_length():
+    columns = {"t1": [1.0, 2.0], "j1": [1, 1], "d1": [True, True],
+               "t2": [1.0], "j2": [1], "d2": [True]}
+    with pytest.raises(ValueError, match="1-D arrays of one length"):
+        ObservationColumns(columns)
 
 
 def test_csv_round_trip(tmp_path):
